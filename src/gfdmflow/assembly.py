@@ -7,11 +7,16 @@ nodes, virtual nodes included.  Every node contributes exactly two rows:
 * virtual nodes: the host's derivative boundary condition for p and Sw,
 * Dirichlet nodes: ``u - eta`` for both variables,
 
-for ``2 (n1 + n2 + n3 + n3)`` equations in total.  The sparsity pattern is
-precomputed once and reused for every evaluation; the Jacobian is exact,
+for ``2 (n1 + n2 + n3 + n3)`` equations in total.  The Jacobian is exact,
 obtained by running the residual kernels on vectorized dual numbers seeded
 on the locally relevant unknowns (upwind branches are frozen at the current
 iterate's pressures within each evaluation).
+
+The sparsity pattern is frozen at construction.  The first Jacobian
+evaluation compiles its CSC layout: the sorted row indices per column and
+the slot each dual tangent adds into.  Every evaluation then sums the
+tangents into those slots and returns a CSC matrix over the one shared pair
+of index arrays, which the linear solver recognises as a known pattern.
 """
 
 from __future__ import annotations
@@ -168,23 +173,51 @@ class PairFluxSystem:
         self.rb_a_coef = np.asarray(self._rb_a_coef, dtype=float)
         self.rb_a_col = np.asarray(self._rb_a_col, dtype=np.int64)
         self.rb_g = np.asarray(self._rb_g, dtype=float)
-        self._freeze_pattern()
+        self._csc = None  # compiled by the first residual_and_jacobian
 
-    def _freeze_pattern(self):
-        pi, pj = self.pair_i, self.pair_j
-        ji_o = 2 * pi
-        ji_w = 2 * pi + 1
-        cp_i, cp_j = 2 * pi, 2 * pj
-        cs_i, cs_j = 2 * pi + 1, 2 * pj + 1
-        self.pat_pair_rows = np.column_stack([ji_o] * 4 + [ji_w] * 4).ravel()
-        self.pat_pair_cols = np.column_stack([cp_i, cp_j, cs_i, cs_j] * 2).ravel()
+    def _pattern(self, dtype=np.int64):
+        """Row and column of every Jacobian contribution, in the order
+        :meth:`_evaluate` lays out their values; repeated positions add up."""
+        pi, pj, f = (ids.astype(dtype, copy=False) for ids in (self.pair_i, self.pair_j, self.flow_ids))
+        pair_rows = np.column_stack([2 * pi] * 4 + [2 * pi + 1] * 4).ravel()
+        pair_cols = np.column_stack([2 * pi, 2 * pj, 2 * pi + 1, 2 * pj + 1] * 2).ravel()
+        acc_rows = np.column_stack([2 * f, 2 * f, 2 * f + 1, 2 * f + 1]).ravel()
+        acc_cols = np.column_stack([2 * f, 2 * f + 1, 2 * f, 2 * f + 1]).ravel()
+        rows = np.concatenate([pair_rows, acc_rows, self.lin_rows.astype(dtype, copy=False)])
+        cols = np.concatenate([pair_cols, acc_cols, self.lin_cols.astype(dtype, copy=False)])
+        return rows, cols
 
-        f = self.flow_ids
-        self.pat_acc_rows = np.column_stack([2 * f, 2 * f, 2 * f + 1, 2 * f + 1]).ravel()
-        self.pat_acc_cols = np.column_stack([2 * f, 2 * f + 1, 2 * f, 2 * f + 1]).ravel()
+    @property
+    def pattern_rows(self) -> np.ndarray:
+        return self._pattern()[0]
 
-        self.pattern_rows = np.concatenate([self.pat_pair_rows, self.pat_acc_rows, self.lin_rows])
-        self.pattern_cols = np.concatenate([self.pat_pair_cols, self.pat_acc_cols, self.lin_cols])
+    @property
+    def pattern_cols(self) -> np.ndarray:
+        return self._pattern()[1]
+
+    def _compile_csc(self):
+        """CSC layout of the frozen pattern, ``(indptr, indices, slot)``:
+        contribution ``k`` of :meth:`_pattern` adds into ``data[slot[k]]``.
+
+        Keys ``col * n + row`` sort into CSC order; they are int32 while
+        ``n**2`` fits, which keeps this one-time pass light on memory.
+        """
+        n = self.n_unknowns
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        rows, cols = self._pattern(dtype)
+        keys = cols * dtype(n) + rows
+        del rows, cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slot = np.empty(len(keys), dtype=dtype)
+        slot[order] = np.cumsum(first, dtype=dtype) - 1
+        del order
+        keys = keys[first]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
+        return indptr, keys % dtype(n), slot
 
     # -- evaluation -------------------------------------------------------------
 
@@ -242,18 +275,21 @@ class PairFluxSystem:
             return residual, None
         pair_data = np.column_stack([f_o.tan, f_w.tan]).ravel()
         acc_data = np.column_stack([-acc_o.tan, -acc_w.tan]).ravel()
-        data = np.concatenate([pair_data, acc_data, self.lin_data])
-        jac = sp.coo_matrix(
-            (data, (self.pattern_rows, self.pattern_cols)),
-            shape=(self.n_unknowns, self.n_unknowns),
-        ).tocsr()
-        return residual, jac
+        return residual, self._scatter(np.concatenate([pair_data, acc_data, self.lin_data]))
+
+    def _scatter(self, data):
+        """CSC matrix of the contributions ``data``, laid out as :meth:`_pattern`."""
+        indptr, indices, slot = self._csc
+        data = np.bincount(slot, weights=data, minlength=len(indices))
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n_unknowns, self.n_unknowns))
 
     def residual(self, x: np.ndarray, x_old: np.ndarray, dt: float) -> np.ndarray:
         r, _ = self._evaluate(x, x_old, dt, with_jac=False)
         return r
 
     def residual_and_jacobian(self, x: np.ndarray, x_old: np.ndarray, dt: float):
+        if self._csc is None:
+            self._csc = self._compile_csc()
         return self._evaluate(x, x_old, dt, with_jac=True)
 
 

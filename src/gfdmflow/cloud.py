@@ -313,13 +313,6 @@ def find_stencil(cloud: NodeCloud, center: int, r_e: float) -> Stencil:
     return Stencil(int(center), ids, offsets, distances, float(r_e))
 
 
-def find_all_stencils(cloud: NodeCloud, r_e: float, centers: np.ndarray | None = None) -> dict[int, Stencil]:
-    """Stencils for many centers against the shared spatial index."""
-    if centers is None:
-        centers = np.arange(len(cloud))
-    return {int(c): find_stencil(cloud, int(c), r_e) for c in centers}
-
-
 # -- generators ---------------------------------------------------------------
 
 

@@ -53,7 +53,7 @@ class FdmGrid:
         return np.column_stack([self.x0 + ix * self.dx, self.y0 + iy * self.dy])
 
 
-#: side name -> (is Dirichlet allowed); closed sides simply omit fluxes.
+#: Sides that ``side_specs`` must cover; closed sides simply omit fluxes.
 _SIDES = ("left", "right", "top", "bottom")
 
 

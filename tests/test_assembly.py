@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gfdmflow import (
     BoundarySpec,
     DirichletBC,
+    FdmGrid,
+    FdmSystem,
     ImplicitSystem,
     NodeKind,
     ReservoirModel,
@@ -267,3 +270,62 @@ class TestStructuralProperties:
                 np.sum(model.unit_alpha * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
             )
             assert residual[2 * i] + residual[2 * i + 1] == pytest.approx(total, abs=1e-12)
+
+
+class TestCompiledCsc:
+    """The Jacobian is scattered into a CSC layout compiled once per system."""
+
+    @staticmethod
+    def scatter_and_scipy(mult):
+        """The evaluator's CSC Jacobian, SciPy's COO->CSC of the same
+        contributions, and the COO matrix of those contributions, for the
+        meshless system at radius multiple ``mult`` or, if None, the FDM one."""
+        if mult is None:
+            sides = {"left": ("dirichlet", 15.0, 0.8), "right": ("dirichlet", 10.0, 0.2),
+                     "top": "noflow", "bottom": "noflow"}
+            grid = FdmGrid(nx=6, ny=4, dx=4.0, dy=4.0)
+            system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), sides)
+            n_nodes = grid.n_nodes
+        else:
+            cloud, ops, model, specs = waterflood_setup(mult=mult)
+            system = ImplicitSystem(cloud, ops, model, specs)
+            n_nodes = len(cloud)
+        rng = np.random.default_rng(41)
+        x = SimState(rng.uniform(10, 15, n_nodes), rng.uniform(0.2, 0.8, n_nodes)).to_vector()
+        x_old = SimState(rng.uniform(10, 15, n_nodes), rng.uniform(0.2, 0.8, n_nodes)).to_vector()
+        contributions = []
+        scatter = system._scatter
+        system._scatter = lambda data: contributions.append(data) or scatter(data)
+        _, jac = system.residual_and_jacobian(x, x_old, 0.4)
+        coo = sp.coo_matrix((contributions[0], (system.pattern_rows, system.pattern_cols)), shape=jac.shape)
+        want = coo.tocsc()
+        assert jac.format == "csc"
+        assert np.array_equal(jac.indptr, want.indptr)
+        assert np.array_equal(jac.indices, want.indices)
+        return jac, want, coo
+
+    @pytest.mark.parametrize("mult", [1.001, None], ids=["meshless", "fdm"])
+    def test_scatter_matches_scipy_within_one_ulp(self, mult):
+        jac, want, _ = self.scatter_and_scipy(mult)
+        ulp = np.spacing(np.maximum(np.abs(jac.data), np.abs(want.data)))
+        assert np.all(np.abs(jac.data - want.data) <= ulp)
+
+    def test_scatter_matches_scipy_wide_stencil(self):
+        # SciPy sorts columns longer than 16 entries with an unstable sort, so
+        # it adds repeated entries in another order: bound the difference by
+        # the reordering error of summing k terms, (k - 1) eps sum|terms|.
+        jac, want, coo = self.scatter_and_scipy(2.001)
+        abs_sum = sp.coo_matrix((np.abs(coo.data), (coo.row, coo.col)), shape=coo.shape).tocsc().data
+        terms = sp.coo_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape).tocsc().data
+        bound = (terms - 1) * np.finfo(float).eps * abs_sum
+        assert np.all(np.abs(jac.data - want.data) <= bound)
+
+    def test_layout_compiled_once_and_shared(self):
+        cloud, ops, model, specs = waterflood_setup()
+        system = ImplicitSystem(cloud, ops, model, specs)
+        x = uniform_state(cloud).to_vector()
+        assert system._csc is None  # nothing compiled at set-up
+        _, a = system.residual_and_jacobian(x, x, 0.5)
+        _, b = system.residual_and_jacobian(x, x, 0.5)
+        assert np.shares_memory(a.indices, b.indices)
+        assert np.shares_memory(a.indptr, b.indptr)

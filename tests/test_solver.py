@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gfdmflow import (
     BoundarySpec,
@@ -20,6 +21,7 @@ from gfdmflow import (
     newton_step,
     simulate,
 )
+from gfdmflow import solver
 
 from test_assembly import SIDES, uniform_state, waterflood_setup
 
@@ -94,6 +96,51 @@ class TestJacobian:
             _, jac = system.residual_and_jacobian(x, x_old, 0.5)
             jacs.append(jac.toarray())
         assert np.array_equal(jacs[0], jacs[1])
+
+
+class TestDirectSolve:
+    def test_alternating_patterns_match_fresh_mmd_solve(self):
+        # two patterns in turn: each call must drop the other's ordering
+        rng = np.random.default_rng(8)
+        systems = []
+        for mult in (1.001, 2.001):
+            system, cloud = small_system(mult=mult)
+            x = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud))).to_vector()
+            residual, jac = system.residual_and_jacobian(x, uniform_state(cloud).to_vector(), 0.5)
+            systems.append((jac, -residual))
+        assert systems[0][0].nnz != systems[1][0].nnz
+        for jac, rhs in systems * 3:
+            want = spla.splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            got = solver.direct_solve(jac, rhs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_result_independent_of_cached_ordering(self, monkeypatch):
+        system, cloud = small_system(mult=2.001)
+        x = uniform_state(cloud).to_vector()
+        residual, jac = system.residual_and_jacobian(x, x, 0.5)
+        warm = solver.direct_solve(jac, -residual)
+        monkeypatch.setattr(solver, "_ordering", None)
+        cold = solver.direct_solve(jac, -residual)
+        assert np.array_equal(warm, cold)
+
+    def test_shared_indptr_with_other_rows_is_another_pattern(self):
+        indptr = np.array([0, 2, 4, 6], dtype=np.int32)
+        data = np.array([4.0, 1.0, 4.0, 1.0, 1.0, 4.0])
+        a = sp.csc_matrix((data, np.array([0, 1, 1, 2, 0, 2], dtype=np.int32), indptr), shape=(3, 3))
+        b = sp.csc_matrix((data, np.array([0, 2, 0, 1, 1, 2], dtype=np.int32), indptr), shape=(3, 3))
+        rhs = np.array([1.0, 2.0, 3.0])
+        for m in (a, b, a):
+            assert np.allclose(solver.direct_solve(m, rhs), np.linalg.solve(m.toarray(), rhs), rtol=1e-14)
+
+    def test_singular_matrix_on_cached_pattern_raises(self):
+        a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+        solver.direct_solve(a, np.ones(3))
+        assert solver._ordering.matches(a)
+        singular = a.copy()
+        singular.data[singular.indices == 2] = 0.0  # zero third row, pattern kept
+        assert np.array_equal(singular.indices, a.indices)
+        with pytest.raises(LinearSolveError):
+            solver.direct_solve(singular, np.ones(3))
 
 
 class TestNewtonStep:
