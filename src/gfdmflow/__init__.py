@@ -9,17 +9,7 @@ independent reference, and the CLI drives scenario runs, stencil
 diagnostics, and convergence studies.
 """
 
-from .assembly import (
-    BoundarySpec,
-    DirichletBC,
-    ImplicitSystem,
-    ResidualSystem,
-    RobinBC,
-    assemble,
-    dirichlet_residual,
-    flow_residuals,
-    robin_residual,
-)
+from .assembly import BoundarySpec, DirichletBC, ImplicitSystem, RobinBC
 from .cloud import (
     Node,
     NodeCloud,

@@ -31,18 +31,13 @@ from . import dual
 from .cloud import NodeCloud, NodeKind
 from .errors import SetupError
 from .operators import DiffOperators
-from .physics import ReservoirModel, SimState, pair_transmissibility_parts, upwind_mobilities
+from .physics import ReservoirModel, pair_transmissibility_parts, porosity, upwind_mobilities
 
 __all__ = [
     "DirichletBC",
     "RobinBC",
     "BoundarySpec",
     "ImplicitSystem",
-    "ResidualSystem",
-    "assemble",
-    "flow_residuals",
-    "robin_residual",
-    "dirichlet_residual",
 ]
 
 
@@ -187,14 +182,6 @@ class PairFluxSystem:
         cols = np.concatenate([pair_cols, acc_cols, self.lin_cols.astype(dtype, copy=False)])
         return rows, cols
 
-    @property
-    def pattern_rows(self) -> np.ndarray:
-        return self._pattern()[0]
-
-    @property
-    def pattern_cols(self) -> np.ndarray:
-        return self._pattern()[1]
-
     def _compile_csc(self):
         """CSC layout of the frozen pattern, ``(indptr, indices, slot)``:
         contribution ``k`` of :meth:`_pattern` adds into ``data[slot[k]]``.
@@ -245,9 +232,8 @@ class PairFluxSystem:
             sw_c = dual.seed(sw[f], 1, 2)
         else:
             p_c, sw_c = p[f], sw[f]
-        model = self.model
-        phi_new = model.phi0 + model.Cr * (p_c - model.p_ref)
-        phi_old = model.phi0 + model.Cr * (p_old[f] - model.p_ref)
+        phi_new = porosity(p_c, self.model, check=False)
+        phi_old = porosity(p_old[f], self.model, check=False)
         acc_o = (phi_new * (1.0 - sw_c) - phi_old * (1.0 - sw_old[f])) / dt
         acc_w = (phi_new * sw_c - phi_old * sw_old[f]) / dt
         return acc_o, acc_w
@@ -360,98 +346,3 @@ class ImplicitSystem(PairFluxSystem):
                 )
 
         self._finalize()
-
-
-@dataclass(frozen=True)
-class ResidualSystem:
-    """Assembled residual vector plus the frozen sparsity pattern."""
-
-    residual: np.ndarray
-    pattern_rows: np.ndarray
-    pattern_cols: np.ndarray
-    system: ImplicitSystem
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.residual)
-
-
-def assemble(
-    state_new: SimState,
-    state_old: SimState,
-    dt: float,
-    cloud: NodeCloud,
-    ops: DiffOperators,
-    model: ReservoirModel,
-    specs: Mapping[int, BoundarySpec],
-) -> ResidualSystem:
-    """One-shot residual assembly (builds and discards the evaluator)."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    system = ImplicitSystem(cloud, ops, model, specs)
-    residual = system.residual(state_new.to_vector(), state_old.to_vector(), dt)
-    return ResidualSystem(residual, system.pattern_rows, system.pattern_cols, system)
-
-
-# -- single-node reference forms ------------------------------------------------
-
-
-def flow_residuals(
-    node: int,
-    state_new: SimState,
-    state_old: SimState,
-    dt: float,
-    ops: DiffOperators,
-    model: ReservoirModel,
-):
-    """Backward-Euler oil/water residual pair at one interior or Robin node."""
-    stencil = ops.stencil(node)
-    lap = ops.laplacian_row(node)
-    nbr = stencil.neighbors
-    k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), node), nbr, model)
-    lam_o, lam_w = upwind_mobilities(
-        state_new.p[node], state_new.p[nbr], state_new.sw[node], state_new.sw[nbr], model, mu_o, mu_w
-    )
-    dp = state_new.p[nbr] - state_new.p[node]
-    base = model.unit_alpha * k_h * lap * dp
-    flux_o = float(np.sum(base * lam_o))
-    flux_w = float(np.sum(base * lam_w))
-    phi_new = model.phi0 + model.Cr * (state_new.p[node] - model.p_ref)
-    phi_old = model.phi0 + model.Cr * (state_old.p[node] - model.p_ref)
-    acc_o = (phi_new * (1.0 - state_new.sw[node]) - phi_old * (1.0 - state_old.sw[node])) / dt
-    acc_w = (phi_new * state_new.sw[node] - phi_old * state_old.sw[node]) / dt
-    r_oil = flux_o + float(model.q_o[node]) - acc_o
-    r_water = flux_w + float(model.q_w[node]) - acc_w
-    return r_oil, r_water
-
-
-def robin_residual(
-    virtual: int,
-    var: str,
-    state_new: SimState,
-    cloud: NodeCloud,
-    ops: DiffOperators,
-    spec: RobinBC,
-) -> float:
-    """Derivative boundary condition written at a virtual node's row.
-
-    The directional derivative uses the difference form
-    ``sum_j c_j (u_j - u_host)`` so it vanishes exactly on constants.
-    """
-    host = int(cloud.hosts[virtual])
-    stencil = ops.stencil(host)
-    if virtual not in set(int(x) for x in stencil.neighbors):
-        raise SetupError(
-            f"virtual node {virtual} is outside the stencil of host {host}; "
-            "influence radius too small"
-        )
-    normal = cloud.normals[host]
-    cdir = ops.directional_row(host, (normal[0], normal[1]))
-    u = state_new.p if var == "p" else state_new.sw
-    du_dn = float(np.sum(cdir * (u[stencil.neighbors] - u[host])))
-    return spec.a * float(u[host]) + spec.b * du_dn - spec.g
-
-
-def dirichlet_residual(node: int, var: str, state_new: SimState, spec: DirichletBC) -> float:
-    u = state_new.p if var == "p" else state_new.sw
-    return float(u[node]) - spec.value

@@ -218,6 +218,8 @@ class NodeCloud:
         virtual = self.kinds == NodeKind.VIRTUAL
         if np.any(self.hosts[virtual] < 0) or np.any(self.hosts[~virtual] != -1):
             raise CloudError("host set iff node is virtual")
+        if np.any(self.hosts[virtual] >= n):
+            raise CloudError("virtual host index beyond the last node")
         if virtual.any():
             host_kinds = self.kinds[self.hosts[virtual]]
             if not np.all(host_kinds == NodeKind.ROBIN):
@@ -485,37 +487,36 @@ def generate_irregular_cloud(
                 kinds.append(NodeKind.DIRICHLET)
                 normals.append((np.nan, np.nan))
 
-    # interior fill: jittered lattice with min-distance rejection
+    # interior fill: jittered lattice with min-distance rejection against
+    # the accepted nodes, pool[:m]
     rng = np.random.default_rng(seed)
-    accepted = np.array(positions)
     min_dist = 0.5 * target_spacing
     x_lo, y_lo = verts.min(axis=0)
     x_hi, y_hi = verts.max(axis=0)
     xs = np.arange(x_lo + target_spacing, x_hi - 0.5 * target_spacing + 1e-12, target_spacing)
     ys = np.arange(y_lo + target_spacing, y_hi - 0.5 * target_spacing + 1e-12, target_spacing)
-    interior: list[tuple[float, float]] = []
+    m = len(positions)
+    pool = np.empty((m + len(xs) * len(ys), 2))
+    pool[:m] = positions
     for y in ys:
         for x in xs:
             delta = rng.uniform(-jitter, jitter, size=2) * target_spacing
             px, py = x + delta[0], y + delta[1]
             if not bool(poly.contains(px, py, tol=0.0)[0]):
                 continue
-            pool = accepted if not interior else np.vstack([accepted, np.array(interior)])
-            if np.min(np.hypot(pool[:, 0] - px, pool[:, 1] - py)) < min_dist:
+            if np.min(np.hypot(pool[:m, 0] - px, pool[:m, 1] - py)) < min_dist:
                 continue
-            interior.append((px, py))
+            pool[m] = px, py
+            m += 1
+    n_interior = m - len(positions)
+    kinds += [NodeKind.INTERIOR] * n_interior
+    normals += [(np.nan, np.nan)] * n_interior
 
-    for p in interior:
-        positions.append(p)
-        kinds.append(NodeKind.INTERIOR)
-        normals.append((np.nan, np.nan))
-
-    n = len(positions)
     return NodeCloud(
-        np.array(positions),
+        pool[:m],
         np.array(kinds, dtype=np.int8),
         np.array(normals),
-        np.full(n, -1, dtype=np.int64),
+        np.full(m, -1, dtype=np.int64),
         h=float(target_spacing),
         domain=poly,
     )
@@ -584,7 +585,8 @@ def read_cloud_csv(path_or_text, h: float | None = None, domain: Domain | None =
     """Load a cloud from the fixture CSV format.
 
     When ``h`` is omitted it is estimated as the median nearest-neighbor
-    distance of the non-virtual nodes.
+    distance of the non-virtual nodes.  A malformed row raises
+    :class:`CloudError` naming its line.
     """
     if isinstance(path_or_text, str) and "\n" in path_or_text:
         fh = io.StringIO(path_or_text)
@@ -595,17 +597,23 @@ def read_cloud_csv(path_or_text, h: float | None = None, domain: Domain | None =
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise CloudError("cloud CSV must start with the header " + ",".join(_CSV_HEADER))
     nodes = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        nid, x, y, kind_name, nx, ny, host = (c.strip() for c in row)
-        kind = _KIND_FROM_NAME[kind_name.lower()]
-        normal = (float(nx), float(ny)) if nx else None
-        nodes.append(
-            Node(int(nid), (float(x), float(y)), kind, normal, int(host) if host else None)
-        )
+        try:
+            nid, x, y, kind_name, nx, ny, host = (c.strip() for c in row)
+            kind = _KIND_FROM_NAME[kind_name.lower()]
+            normal = (float(nx), float(ny)) if nx else None
+            node = Node(int(nid), (float(x), float(y)), kind, normal, int(host) if host else None)
+        except (KeyError, ValueError) as exc:
+            raise CloudError(f"cloud CSV line {line}: cannot read {row!r} ({exc})") from exc
+        nodes.append(node)
+    if not nodes:
+        raise CloudError("cloud CSV holds no nodes")
     if h is None:
         positions = np.array([n.position for n in nodes if n.kind != NodeKind.VIRTUAL])
+        if len(positions) < 2:
+            raise CloudError("cloud CSV needs two non-virtual nodes to infer the spacing")
         tree = cKDTree(positions)
         dists, _ = tree.query(positions, k=2)
         h = float(np.median(dists[:, 1]))

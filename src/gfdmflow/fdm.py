@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import PairFluxSystem
+from .assembly import BoundarySpec, DirichletBC, PairFluxSystem, RobinBC
 from .errors import SetupError
 from .physics import ReservoirModel, SimState
 from .solver import TimeControl, simulate
@@ -57,15 +57,23 @@ class FdmGrid:
 _SIDES = ("left", "right", "top", "bottom")
 
 
-class FdmSystem(PairFluxSystem):
-    """Implicit five-point system; ``side_specs`` maps each side to either
-    ``('dirichlet', p_value, sw_value)`` or ``'noflow'``.
+def _is_closed(bc) -> bool:
+    return isinstance(bc, RobinBC) and bc.a == 0.0 and bc.g == 0.0
 
-    Corners on two Dirichlet sides take the left/right value (vertical sides
-    win, mirroring the cloud generator's priority rule).
+
+class FdmSystem(PairFluxSystem):
+    """Implicit five-point system; ``side_specs`` maps each side to a
+    :class:`BoundarySpec`.
+
+    A side whose p and Sw specs are both :class:`DirichletBC` holds those
+    values; a side whose specs are both :class:`RobinBC` with ``a == 0`` and
+    ``g == 0`` is closed (zero normal derivative).  Any other spec raises
+    :class:`SetupError` naming the side.  Corners on two Dirichlet sides take
+    the left/right value (vertical sides win, mirroring the cloud generator's
+    priority rule).
     """
 
-    def __init__(self, grid: FdmGrid, model: ReservoirModel, side_specs: Mapping[str, object]):
+    def __init__(self, grid: FdmGrid, model: ReservoirModel, side_specs: Mapping[str, BoundarySpec]):
         self._init_tables(model, grid.n_nodes)
         self.grid = grid
         for side in _SIDES:
@@ -76,21 +84,24 @@ class FdmSystem(PairFluxSystem):
         dirichlet = np.zeros(grid.n_nodes, dtype=bool)
         dirichlet_vals: dict[int, tuple[float, float]] = {}
 
-        def mark(ids, spec, side):
-            if spec == "noflow":
+        def mark(ids, side):
+            spec = side_specs[side]
+            if _is_closed(spec.p) and _is_closed(spec.sw):
                 return
-            kind, p_val, sw_val = spec
-            if kind != "dirichlet":
-                raise SetupError(f"side {side}: expected 'noflow' or ('dirichlet', p, Sw)")
+            if not (isinstance(spec.p, DirichletBC) and isinstance(spec.sw, DirichletBC)):
+                raise SetupError(
+                    f"side {side}: the five-point reference supports Dirichlet or closed "
+                    f"(robin a = g = 0) sides only, not {spec}"
+                )
             for i in np.asarray(ids).ravel():
                 dirichlet[i] = True
-                dirichlet_vals[int(i)] = (float(p_val), float(sw_val))
+                dirichlet_vals[int(i)] = (float(spec.p.value), float(spec.sw.value))
 
         # horizontal sides first so vertical (left/right) values win corners
-        mark(grid.index(np.arange(nx), 0), side_specs["bottom"], "bottom")
-        mark(grid.index(np.arange(nx), ny - 1), side_specs["top"], "top")
-        mark(grid.index(0, np.arange(ny)), side_specs["left"], "left")
-        mark(grid.index(nx - 1, np.arange(ny)), side_specs["right"], "right")
+        mark(grid.index(np.arange(nx), 0), "bottom")
+        mark(grid.index(np.arange(nx), ny - 1), "top")
+        mark(grid.index(0, np.arange(ny)), "left")
+        mark(grid.index(nx - 1, np.arange(ny)), "right")
 
         self.flow_ids = np.flatnonzero(~dirichlet)
         self.dirichlet_ids = np.flatnonzero(dirichlet)
@@ -115,13 +126,17 @@ class FdmSystem(PairFluxSystem):
 def run_fdm(
     model: ReservoirModel,
     grid: FdmGrid,
-    side_specs: Mapping[str, object],
+    side_specs: Mapping[str, BoundarySpec],
     tc: TimeControl,
     p_init: float,
     sw_init: float,
     output_times=(),
 ):
-    """March the reference solver; returns ``({time: SimState}, report)``."""
+    """March the reference solver; returns ``({time: SimState}, report)``.
+
+    ``side_specs`` maps each side to a :class:`BoundarySpec`, as
+    :class:`FdmSystem` takes it.
+    """
     system = FdmSystem(grid, model, side_specs)
     x0 = SimState(np.full(grid.n_nodes, p_init), np.full(grid.n_nodes, sw_init)).to_vector()
     raw, report = simulate(system, x0, tc, output_times)

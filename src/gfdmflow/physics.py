@@ -173,17 +173,14 @@ def pair_transmissibility_parts(i, j, model: ReservoirModel):
     return k_ij, mu_o_ij, mu_w_ij
 
 
-def upwind_mobilities(p_i, p_j, sw_i, sw_j, model: ReservoirModel, mu_o_ij=None, mu_w_ij=None):
+def upwind_mobilities(p_i, p_j, sw_i, sw_j, model: ReservoirModel, mu_o_ij, mu_w_ij):
     """Phase mobilities with first-order upwind relative permeabilities.
 
     The neighbor ``j`` is upstream when ``p_j >= p_i`` (ties go to the
     neighbor); both phases use the same oil-pressure test because capillary
-    pressure is zero throughout.
+    pressure is zero throughout.  ``mu_o_ij`` and ``mu_w_ij`` are the pair
+    viscosities from :func:`pair_transmissibility_parts`.
     """
-    if mu_o_ij is None:
-        mu_o_ij = float(np.mean(model.mu_o))
-    if mu_w_ij is None:
-        mu_w_ij = float(np.mean(model.mu_w))
     upstream_j = np.asarray(dual.value(p_j)) >= np.asarray(dual.value(p_i))
     sw_up = dual.where(upstream_j, sw_j, sw_i)
     lam_o = kro(sw_up, model) / mu_o_ij

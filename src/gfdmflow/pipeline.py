@@ -189,20 +189,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     return ScenarioRun(cloud, ops, model, specs, system, states, report)
 
 
-def fdm_side_specs(config: ScenarioConfig) -> dict[str, object]:
-    sides: dict[str, object] = {}
-    for side in ("left", "right", "top", "bottom"):
-        bc = config.boundaries[side]
-        if bc.kind == "dirichlet":
-            sides[side] = ("dirichlet", bc.p_value, bc.sw_value)
-        elif bc.kind == "noflow" or (
-            bc.kind == "robin" and bc.p_robin[0] == 0 and bc.p_robin[2] == 0
-            and bc.sw_robin[0] == 0 and bc.sw_robin[2] == 0
-        ):
-            sides[side] = "noflow"
-        else:
-            raise SetupError(f"reference FDM supports dirichlet/noflow sides only, not {bc}")
-    return sides
+def fdm_side_specs(config: ScenarioConfig) -> dict[str, BoundarySpec]:
+    """Each rectangle side's condition, as :class:`~gfdmflow.fdm.FdmSystem` takes it."""
+    return {side: _segment_to_spec(config.boundaries[side]) for side in _RECT_EDGE_ORDER}
 
 
 def run_fdm_scenario(

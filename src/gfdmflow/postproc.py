@@ -50,11 +50,23 @@ class FieldSnapshot:
 
     @classmethod
     def read_csv(cls, path) -> "FieldSnapshot":
+        """Inverse of :meth:`write_csv`; a malformed file raises :class:`GfdmFlowError`."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or [c.strip() for c in rows[0]] != ["time", "x", "y", "p", "Sw"]:
             raise GfdmFlowError("snapshot CSV must carry header time,x,y,p,Sw")
-        body = np.array([[float(v) for v in row] for row in rows[1:] if row])
+        body = []
+        for line, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            try:
+                t, x, y, p, sw = (float(v) for v in row)
+            except ValueError as exc:
+                raise GfdmFlowError(f"snapshot CSV line {line}: expected five numbers, got {row!r}") from exc
+            body.append((t, x, y, p, sw))
+        if not body:
+            raise GfdmFlowError("snapshot CSV holds no data rows")
+        body = np.array(body)
         return cls(float(body[0, 0]), body[:, 1], body[:, 2], body[:, 3], body[:, 4])
 
 

@@ -293,7 +293,9 @@ class TestCriterion8PropertySuites:
         # independent dense oracle on a <= 30-node system
         state_new = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         state_old = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
-        got = gf.assemble(state_new, state_old, 0.7, cloud, ops, model, specs).residual
+        got = gf.ImplicitSystem(cloud, ops, model, specs).residual(
+            state_new.to_vector(), state_old.to_vector(), 0.7
+        )
         want = oracle_residual(cloud, ops, model, specs, state_new, state_old, 0.7)
         if np.max(np.abs(got - want)) > 1e-12:
             problems.append("residual deviates from brute-force oracle")

@@ -14,15 +14,12 @@ from gfdmflow import (
     SetupError,
     SimState,
     add_virtual_nodes,
-    assemble,
     build_operators,
-    dirichlet_residual,
-    flow_residuals,
     generate_cartesian_cloud,
-    robin_residual,
 )
 
 from oracle import oracle_residual
+from test_fdm import SIDES as FDM_SIDES
 
 SIDES = {"left": "dirichlet", "right": "dirichlet", "top": "robin", "bottom": "robin"}
 
@@ -50,13 +47,19 @@ def uniform_state(cloud, p=10.0, sw=0.2, t=0.0):
     return SimState(np.full(len(cloud), p), np.full(len(cloud), sw), t)
 
 
+def residual(state_new, state_old, dt, cloud, ops, model, specs):
+    """Residual of a freshly built :class:`ImplicitSystem`."""
+    system = ImplicitSystem(cloud, ops, model, specs)
+    return system.residual(state_new.to_vector(), state_old.to_vector(), dt)
+
+
 class TestRowStructure:
     def test_row_count_matches_node_budget(self):
         cloud, ops, model, specs = waterflood_setup()
         state = uniform_state(cloud)
-        system = assemble(state, state, 1.0, cloud, ops, model, specs)
+        r = residual(state, state, 1.0, cloud, ops, model, specs)
         n1, n2, n3 = cloud.n_interior, cloud.n_dirichlet, cloud.n_robin
-        assert system.n_rows == 2 * (n1 + n2 + n3 + n3)
+        assert len(r) == 2 * (n1 + n2 + n3 + n3)
 
     def test_all_dirichlet_two_by_two(self):
         cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in SIDES})
@@ -67,11 +70,13 @@ class TestRowStructure:
         }
         ops = build_operators(cloud, 2.0)  # no flow nodes: nothing to build
         state = uniform_state(cloud, p=12.0, sw=0.5)
-        system = assemble(state, state, 1.0, cloud, ops, model, specs)
-        assert system.n_rows == 8
-        assert np.allclose(system.residual, 0.0)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        x = state.to_vector()
+        r = system.residual(x, x, 1.0)
+        assert len(r) == 8
+        assert np.allclose(r, 0.0)
         # each row touches exactly its own unknown
-        _, jac = system.system.residual_and_jacobian(state.to_vector(), state.to_vector(), 1.0)
+        _, jac = system.residual_and_jacobian(x, x, 1.0)
         assert np.array_equal(jac.toarray(), np.eye(8))
 
     def test_unknown_kind_or_missing_spec_rejected(self):
@@ -107,8 +112,7 @@ class TestResidualValues:
             else s
             for i, s in specs.items()
         }
-        system = assemble(state, state, 0.5, cloud, ops, model, eq_specs)
-        assert np.all(system.residual == 0.0)
+        assert np.all(residual(state, state, 0.5, cloud, ops, model, eq_specs) == 0.0)
 
     def test_flow_residual_zero_for_linear_pressure(self):
         cloud, ops, model, specs = waterflood_setup()
@@ -116,7 +120,8 @@ class TestResidualValues:
         state.p = 15.0 - cloud.positions[:, 0] / 10.0
         state.sw = np.full(len(cloud), 0.8)
         interior = int(cloud.ids_of_kind(NodeKind.INTERIOR)[1])
-        r_oil, r_water = flow_residuals(interior, state, state, 1.0, ops, model)
+        r = residual(state, state, 1.0, cloud, ops, model, specs)
+        r_oil, r_water = r[2 * interior], r[2 * interior + 1]
         assert abs(r_oil) < 1e-10
         assert abs(r_water) < 1e-10
 
@@ -144,7 +149,11 @@ class TestResidualValues:
         state_old = SimState(state_new.p.copy(), np.array([0.8, 0.45, 0.2, 0.5, 0.5, 0.5, 0.5]))
         dt = 0.25
 
-        r_oil, r_water = flow_residuals(1, state_new, state_old, dt, ops, model)
+        specs = {
+            0: BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)),
+            2: BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+        }
+        r_oil, r_water = residual(state_new, state_old, dt, cloud, ops, model, specs)[2:4]
 
         # direct spreadsheet-style evaluation at node 1
         stencil = ops.stencil(1)
@@ -166,10 +175,15 @@ class TestResidualValues:
         assert r_water == pytest.approx(flux_w - acc_w, abs=1e-12)
 
     def test_dirichlet_residual_cases(self):
-        state = SimState(np.array([15.0, 10.0]), np.array([0.8, 0.2]))
-        assert dirichlet_residual(0, "p", state, DirichletBC(15.0)) == 0.0
-        assert dirichlet_residual(1, "p", state, DirichletBC(15.0)) == -5.0
-        assert dirichlet_residual(1, "sw", state, DirichletBC(0.8)) == pytest.approx(-0.6)
+        cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in SIDES})
+        model = ReservoirModel.uniform(len(cloud))
+        ops = build_operators(cloud, 2.0)
+        specs = {i: BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)) for i in range(len(cloud))}
+        state = SimState(np.array([15.0, 10.0, 10.0, 10.0]), np.array([0.8, 0.2, 0.2, 0.2]))
+        r = residual(state, state, 1.0, cloud, ops, model, specs)
+        assert r[0] == 0.0  # p at node 0
+        assert r[2] == -5.0  # p at node 1
+        assert r[3] == pytest.approx(-0.6)  # Sw at node 1
 
 
 class TestRobinRows:
@@ -177,26 +191,32 @@ class TestRobinRows:
         cloud, ops, model, specs = waterflood_setup()
         robin = int(cloud.ids_of_kind(NodeKind.ROBIN)[1])
         virtual = int(np.flatnonzero(cloud.hosts == robin)[0])
-        return cloud, ops, robin, virtual
+        return cloud, ops, model, specs, robin, virtual
+
+    @staticmethod
+    def p_row(state, cloud, ops, model, specs, virtual):
+        """The virtual node's pressure row: its host's condition on p."""
+        return residual(state, state, 1.0, cloud, ops, model, specs)[2 * virtual]
 
     def test_noflow_constant_field(self):
-        cloud, ops, robin, virtual = self.setup_robin()
+        cloud, ops, model, specs, robin, virtual = self.setup_robin()
         state = uniform_state(cloud, p=13.0, sw=0.4)
-        r = robin_residual(virtual, "p", state, cloud, ops, RobinBC.noflow())
+        r = self.p_row(state, cloud, ops, model, specs, virtual)
         assert r == pytest.approx(0.0, abs=1e-14)
 
     def test_noflow_x_only_field(self):
-        cloud, ops, robin, virtual = self.setup_robin()
+        cloud, ops, model, specs, robin, virtual = self.setup_robin()
         state = uniform_state(cloud)
         state.p = 1.0 + 3.0 * cloud.positions[:, 0]
-        r = robin_residual(virtual, "p", state, cloud, ops, RobinBC.noflow())
+        r = self.p_row(state, cloud, ops, model, specs, virtual)
         assert r == pytest.approx(0.0, abs=1e-8)
 
     def test_value_form_reduces_to_dirichlet(self):
-        cloud, ops, robin, virtual = self.setup_robin()
+        cloud, ops, model, specs, robin, virtual = self.setup_robin()
+        specs[robin] = BoundarySpec(RobinBC(1.0, 0.0, 5.0), RobinBC.noflow())
         state = uniform_state(cloud)
         state.p[robin] = 7.0
-        r = robin_residual(virtual, "p", state, cloud, ops, RobinBC(1.0, 0.0, 5.0))
+        r = self.p_row(state, cloud, ops, model, specs, virtual)
         assert r == pytest.approx(2.0)
 
 
@@ -207,7 +227,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(17)
         state_new = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         state_old = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
-        got = assemble(state_new, state_old, 0.7, cloud, ops, model, specs).residual
+        got = residual(state_new, state_old, 0.7, cloud, ops, model, specs)
         want = oracle_residual(cloud, ops, model, specs, state_new, state_old, 0.7)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -216,7 +236,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(23)
         state_new = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         state_old = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
-        got = assemble(state_new, state_old, 2.0, cloud, ops, model, specs).residual
+        got = residual(state_new, state_old, 2.0, cloud, ops, model, specs)
         want = oracle_residual(cloud, ops, model, specs, state_new, state_old, 2.0)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -227,8 +247,8 @@ class TestStructuralProperties:
         rng = np.random.default_rng(5)
         state_new = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         state_old = uniform_state(cloud)
-        a = assemble(state_new, state_old, 1.0, cloud, ops, model, specs).residual
-        b = assemble(state_new, state_old, 1.0, cloud, ops, model, specs).residual
+        a = residual(state_new, state_old, 1.0, cloud, ops, model, specs)
+        b = residual(state_new, state_old, 1.0, cloud, ops, model, specs)
         assert np.array_equal(a, b)
 
     def test_fixed_sparsity_across_states(self):
@@ -255,7 +275,7 @@ class TestStructuralProperties:
         state_new = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         state_old = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         dt = 0.3
-        residual = assemble(state_new, state_old, dt, cloud, ops, model, specs).residual
+        r = residual(state_new, state_old, dt, cloud, ops, model, specs)
         from gfdmflow.physics import pair_transmissibility_parts, upwind_mobilities
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)[:20]):
@@ -269,7 +289,7 @@ class TestStructuralProperties:
             total = float(
                 np.sum(model.unit_alpha * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
             )
-            assert residual[2 * i] + residual[2 * i + 1] == pytest.approx(total, abs=1e-12)
+            assert r[2 * i] + r[2 * i + 1] == pytest.approx(total, abs=1e-12)
 
 
 class TestCompiledCsc:
@@ -281,10 +301,8 @@ class TestCompiledCsc:
         contributions, and the COO matrix of those contributions, for the
         meshless system at radius multiple ``mult`` or, if None, the FDM one."""
         if mult is None:
-            sides = {"left": ("dirichlet", 15.0, 0.8), "right": ("dirichlet", 10.0, 0.2),
-                     "top": "noflow", "bottom": "noflow"}
             grid = FdmGrid(nx=6, ny=4, dx=4.0, dy=4.0)
-            system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), sides)
+            system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), FDM_SIDES)
             n_nodes = grid.n_nodes
         else:
             cloud, ops, model, specs = waterflood_setup(mult=mult)
@@ -297,7 +315,7 @@ class TestCompiledCsc:
         scatter = system._scatter
         system._scatter = lambda data: contributions.append(data) or scatter(data)
         _, jac = system.residual_and_jacobian(x, x_old, 0.4)
-        coo = sp.coo_matrix((contributions[0], (system.pattern_rows, system.pattern_cols)), shape=jac.shape)
+        coo = sp.coo_matrix((contributions[0], system._pattern()), shape=jac.shape)
         want = coo.tocsc()
         assert jac.format == "csc"
         assert np.array_equal(jac.indptr, want.indptr)

@@ -241,6 +241,28 @@ class TestCsvRoundTrip:
         with pytest.raises(CloudError, match="header"):
             read_cloud_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,0.0,0.0,blob,,,\n", "line 2"),
+            ("0,0.0,0.0,interior,,,\n1,1.0\n", "line 3"),
+            ("0,0.0,zero,interior,,,\n", "line 2"),
+            ("0,0.0,0.0,interior,,,\n1,1.0,0.0,interior,,,x\n", "line 3"),
+            ("", "no nodes"),
+            ("0,0.0,0.0,interior,,,\n", "two non-virtual nodes"),
+            ("0,0.0,0.0,interior,,,\n1,1.0,0.0,interior,,,\n2,0.0,1.0,virtual,,,99\n", "host"),
+        ],
+        ids=[
+            "unknown-kind", "short-row", "non-numeric", "non-integer-host", "header-only", "one-node",
+            "host-out-of-range",
+        ],
+    )
+    def test_malformed_rows_raise_cloud_error(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,x,y,kind,n_x,n_y,host\n" + body)
+        with pytest.raises(CloudError, match=message):
+            read_cloud_csv(path)
+
     def test_inferred_spacing(self, tmp_path):
         cloud = generate_cartesian_cloud(8, 8, 2, 2, WATERFLOOD_SIDES)
         path = tmp_path / "cloud.csv"

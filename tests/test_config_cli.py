@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gfdmflow
 from gfdmflow import ConfigError, SetupError, load_config, parse_config, serialize_config
 from gfdmflow.cli import main
 from gfdmflow.postproc import FieldSnapshot
@@ -219,6 +221,18 @@ class TestCompareCommand:
         assert re_p < 1e-3
 
 
+    @pytest.mark.parametrize(
+        "body",
+        ["", "0.0,1.0,2.0,x,0.5\n", "0.0,1.0,2.0\n"],
+        ids=["header-only", "non-numeric", "short-row"],
+    )
+    def test_compare_malformed_snapshot_exit_code(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,x,y,p,Sw\n" + body)
+        assert main(["compare", str(bad), str(bad)]) == 3
+        assert "snapshot CSV" in capsys.readouterr().err
+
+
 class TestConvergenceDriver:
     def test_empty_spacings_rejected(self):
         with pytest.raises(SetupError, match="empty"):
@@ -255,10 +269,16 @@ class TestConvergenceDriver:
 
 
 def test_console_entry_point():
+    # the child does not inherit pytest's sys.path: point it at the package
+    # this test imported
+    src = str(Path(gfdmflow.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "gfdmflow.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "convergence" in proc.stdout

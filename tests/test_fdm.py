@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from gfdmflow import (
+    BoundarySpec,
+    DirichletBC,
     FdmGrid,
     NodeKind,
     ReservoirModel,
+    RobinBC,
+    SegmentBC,
     SetupError,
     TimeControl,
     add_virtual_nodes,
@@ -14,13 +18,19 @@ from gfdmflow import (
     generate_cartesian_cloud,
     relative_error,
     run_fdm,
+    run_fdm_scenario,
+    run_scenario,
 )
 
+from conftest import waterflood_config
+
+CLOSED = BoundarySpec(RobinBC.noflow(), RobinBC.noflow())
+
 SIDES = {
-    "left": ("dirichlet", 15.0, 0.8),
-    "right": ("dirichlet", 10.0, 0.2),
-    "top": "noflow",
-    "bottom": "noflow",
+    "left": BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)),
+    "right": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+    "top": CLOSED,
+    "bottom": CLOSED,
 }
 
 
@@ -44,10 +54,10 @@ class TestRunFdm:
         grid = FdmGrid(nx=5, ny=3, dx=4.0, dy=4.0)
         model = ReservoirModel.uniform(grid.n_nodes)
         sides = {
-            "left": ("dirichlet", 10.0, 0.2),
-            "right": ("dirichlet", 10.0, 0.2),
-            "top": "noflow",
-            "bottom": "noflow",
+            "left": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+            "right": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+            "top": CLOSED,
+            "bottom": CLOSED,
         }
         tc = TimeControl(dt_init=0.5, dt_max=2.0, t_end=10.0)
         states, report = run_fdm(model, grid, sides, tc, p_init=10.0, sw_init=0.2)
@@ -72,11 +82,39 @@ class TestRunFdm:
             run_fdm(
                 model,
                 grid,
-                {"left": "noflow"},
+                {"left": CLOSED},
                 TimeControl(dt_init=0.1, dt_max=1.0, t_end=1.0),
                 10.0,
                 0.2,
             )
+
+
+class TestBoundaryConsistency:
+    """The reference runs Dirichlet and closed sides; it refuses the rest."""
+
+    @staticmethod
+    def config_with_top(bc):
+        boundaries = {**waterflood_config().boundaries, "top": bc}
+        return waterflood_config(t_end=2.0, output_times=(2.0,), boundaries=boundaries)
+
+    def test_general_robin_side_rejected(self):
+        config = self.config_with_top(SegmentBC("robin", p_robin=(1.0, 1.0, 5.0), sw_robin=(1.0, 1.0, 5.0)))
+        with pytest.raises(SetupError, match="side top"):
+            run_fdm_scenario(config)
+
+    @pytest.mark.parametrize("run", [run_scenario, run_fdm_scenario], ids=["gfdm", "fdm"])
+    def test_vacuous_robin_side_rejected(self, run):
+        config = self.config_with_top(SegmentBC("robin", p_robin=(0.0, 0.0, 0.0), sw_robin=(0.0, 0.0, 0.0)))
+        with pytest.raises(SetupError, match="constrains nothing"):
+            run(config)
+
+    def test_zero_flux_robin_side_is_noflow(self):
+        robin = SegmentBC("robin", p_robin=(0.0, 1.0, 0.0), sw_robin=(0.0, 1.0, 0.0))
+        _, states, report = run_fdm_scenario(self.config_with_top(robin))
+        _, want_states, want_report = run_fdm_scenario(self.config_with_top(SegmentBC.noflow()))
+        assert report.steps == want_report.steps
+        assert np.array_equal(states[2.0].p, want_states[2.0].p)
+        assert np.array_equal(states[2.0].sw, want_states[2.0].sw)
 
 
 class TestDegeneracyCrossCheck:

@@ -130,6 +130,23 @@ class TestSnapshotCsv:
             FieldSnapshot.read_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "no data rows"),
+            ("1.0,0.0,0.0,12.0,0.5\n1.0,4.0,0.0,p,0.5\n", "line 3"),
+            ("1.0,0.0,0.0\n", "line 2"),
+            ("1.0,0.0,0.0,12.0,0.5,9\n", "line 2"),
+        ],
+        ids=["header-only", "non-numeric", "short-row", "long-row"],
+    )
+    def test_malformed_rows_raise_documented_error(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,x,y,p,Sw\n" + body)
+        with pytest.raises(GfdmFlowError, match=message):
+            FieldSnapshot.read_csv(path)
+
+
 def test_vtk_point_writer(tmp_path):
     snap = lattice_snapshot(nx=3, ny=2)
     path = tmp_path / "out.vtk"
