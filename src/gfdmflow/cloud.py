@@ -588,12 +588,14 @@ def read_cloud_csv(path_or_text, h: float | None = None, domain: Domain | None =
     distance of the non-virtual nodes.  A malformed row raises
     :class:`CloudError` naming its line.
     """
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        fh = io.StringIO(path_or_text)
-        rows = list(csv.reader(fh))
-    else:
-        with open(path_or_text, newline="") as fh:
-            rows = list(csv.reader(fh))
+    try:
+        if isinstance(path_or_text, str) and "\n" in path_or_text:
+            rows = list(csv.reader(io.StringIO(path_or_text)))
+        else:
+            with open(path_or_text, newline="") as fh:
+                rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise CloudError(f"cannot read cloud CSV: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise CloudError("cloud CSV must start with the header " + ",".join(_CSV_HEADER))
     nodes = []

@@ -2,6 +2,9 @@
 
 The format is deliberately plain (INI-style sections, human-diffable); a
 configuration survives ``parse -> serialize -> parse`` bit-identically.
+One table, ``_SCHEMA``, names every ``[section] key`` outside the
+``[boundary.<name>]`` sections; parsing and serialization both walk it.  An
+unknown section or key is an error, and every number must be finite.
 Validation collects every problem before failing so a bad file reports all
 its issues at once.
 """
@@ -10,7 +13,10 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import ConfigError
 from .solver import TimeControl
@@ -111,32 +117,111 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
-_FLOAT_KEYS = {
-    ("domain", "width"): "width",
-    ("domain", "height"): "height",
-    ("cloud", "dx"): "dx",
-    ("cloud", "dy"): "dy",
-    ("cloud", "spacing"): "spacing",
-    ("cloud", "jitter"): "jitter",
-    ("radius", "multiple"): "radius_multiple",
-    ("radius", "absolute"): "radius_absolute",
-    ("rock", "permeability"): "permeability",
-    ("rock", "porosity"): "porosity",
-    ("rock", "compressibility"): "compressibility",
-    ("rock", "reference_pressure"): "reference_pressure",
-    ("fluids", "oil_viscosity"): "oil_viscosity",
-    ("fluids", "water_viscosity"): "water_viscosity",
-    ("fluids", "connate_water"): "connate_water",
-    ("fluids", "residual_oil"): "residual_oil",
-    ("initial", "pressure"): "initial_pressure",
-    ("initial", "water_saturation"): "initial_water_saturation",
-    ("time", "dt_init"): "dt_init",
-    ("time", "dt_max"): "dt_max",
-    ("time", "t_end"): "t_end",
-    ("time", "newton_tol"): "newton_tol",
-    ("time", "dt_grow"): "dt_grow",
-    ("time", "dt_cut"): "dt_cut",
-}
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number ({text!r})") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number ({text!r})")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
+
+
+def _flag(text: str) -> bool:
+    try:  # true/yes/1/on and false/no/0/off
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("expected true/false") from None
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(_number(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError("expected numbers") from None
+
+
+def _vertices(text: str) -> tuple[tuple[float, float], ...]:
+    vertices = []
+    try:
+        for chunk in filter(None, (c.strip() for c in text.split(";"))):
+            xs = chunk.replace(",", " ").split()
+            if len(xs) != 2 or not all(math.isfinite(float(v)) for v in xs):
+                raise ValueError(chunk)
+            vertices.append((float(xs[0]), float(xs[1])))
+    except ValueError as exc:
+        raise ValueError(f"expected 'x y; x y; ...', bad chunk {exc}") from None
+    return tuple(vertices)
+
+
+def _choice(*options: str):
+    listed = ", ".join(options[:-1]) + " or " + options[-1]
+
+    def parse(text: str) -> str:
+        value = text.strip().lower()
+        if value not in options:
+            raise ValueError(f"must be {listed}, got {value!r}")
+        return value
+
+    return parse, str
+
+
+# converters: (parse text -> value, raising ValueError; show value -> text)
+_NUMBER = (_number, repr)
+_INTEGER = (_integer, str)
+_TEXT = (str.strip, str)
+_FLAG = (_flag, lambda v: "true" if v else "false")
+_NUMBERS = (_numbers, lambda values: " ".join(map(repr, values)))
+_VERTICES = (_vertices, lambda vertices: "; ".join(f"{x!r} {y!r}" for x, y in vertices))
+
+# Every [section] key outside [boundary.<name>], grouped by section:
+# (section, key, ScenarioConfig field, converter).
+_SCHEMA = (
+    ("domain", "shape", "domain_shape", _choice("rectangle", "polygon")),
+    ("domain", "width", "width", _NUMBER),
+    ("domain", "height", "height", _NUMBER),
+    ("domain", "vertices", "vertices", _VERTICES),
+    ("cloud", "type", "cloud_type", _choice("cartesian", "irregular", "csv")),
+    ("cloud", "dx", "dx", _NUMBER),
+    ("cloud", "dy", "dy", _NUMBER),
+    ("cloud", "spacing", "spacing", _NUMBER),
+    ("cloud", "seed", "seed", _INTEGER),
+    ("cloud", "jitter", "jitter", _NUMBER),
+    ("cloud", "path", "cloud_path", _TEXT),
+    ("cloud", "virtual_nodes", "virtual_nodes", _choice("auto", "none")),
+    ("radius", "multiple", "radius_multiple", _NUMBER),
+    ("radius", "absolute", "radius_absolute", _NUMBER),
+    ("rock", "permeability", "permeability", _NUMBER),
+    ("rock", "porosity", "porosity", _NUMBER),
+    ("rock", "compressibility", "compressibility", _NUMBER),
+    ("rock", "reference_pressure", "reference_pressure", _NUMBER),
+    ("fluids", "oil_viscosity", "oil_viscosity", _NUMBER),
+    ("fluids", "water_viscosity", "water_viscosity", _NUMBER),
+    ("fluids", "connate_water", "connate_water", _NUMBER),
+    ("fluids", "residual_oil", "residual_oil", _NUMBER),
+    ("initial", "pressure", "initial_pressure", _NUMBER),
+    ("initial", "water_saturation", "initial_water_saturation", _NUMBER),
+    ("time", "dt_init", "dt_init", _NUMBER),
+    ("time", "dt_max", "dt_max", _NUMBER),
+    ("time", "t_end", "t_end", _NUMBER),
+    ("time", "newton_tol", "newton_tol", _NUMBER),
+    ("time", "max_newton", "max_newton", _INTEGER),
+    ("time", "dt_grow", "dt_grow", _NUMBER),
+    ("time", "dt_cut", "dt_cut", _NUMBER),
+    ("output", "times", "output_times", _NUMBERS),
+    ("output", "directory", "output_dir", _TEXT),
+    ("output", "prefix", "prefix", _TEXT),
+    ("output", "vtk", "vtk", _FLAG),
+)
+_SECTION_KEYS = {s: {k for s2, k, *_ in _SCHEMA if s2 == s} for s, *_ in _SCHEMA}
+_BOUNDARY_KEYS = {"kind", "pressure", "water_saturation"}
 _SIDE_NAMES = ("left", "right", "top", "bottom")
 
 
@@ -144,13 +229,15 @@ def _parse_triple(text: str):
     parts = text.replace(",", " ").split()
     if len(parts) != 3:
         raise ValueError("expected three numbers (a b g)")
-    return tuple(float(v) for v in parts)
+    return tuple(_number(v) for v in parts)
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate configuration text; raises :class:`ConfigError`
     listing every problem found."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no section name can hold a newline, so [DEFAULT] is an ordinary
+    # (unknown) section instead of keys shared by every section
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -159,80 +246,35 @@ def parse_config(text: str) -> ScenarioConfig:
 
     problems: list[str] = []
     values: dict[str, object] = {}
+    for section, key, name, (parse, _show) in _SCHEMA:
+        if cp.has_option(section, key):
+            try:
+                values[name] = parse(cp.get(section, key))
+            except ValueError as exc:
+                problems.append(f"[{section}] {key}: {exc}")
 
-    def grab_float(section, key, target):
-        raw = cp.get(section, key, fallback=None)
-        if raw is None:
-            return
-        try:
-            values[target] = float(raw)
-        except ValueError:
-            problems.append(f"[{section}] {key}: not a number ({raw!r})")
-
-    for (section, key), target in _FLOAT_KEYS.items():
-        grab_float(section, key, target)
-
-    if cp.has_option("domain", "shape"):
-        shape = cp.get("domain", "shape").strip().lower()
-        if shape not in ("rectangle", "polygon"):
-            problems.append(f"[domain] shape: must be rectangle or polygon, got {shape!r}")
-        values["domain_shape"] = shape
-    if cp.has_option("domain", "vertices"):
-        raw = cp.get("domain", "vertices")
-        try:
-            vertices = []
-            for chunk in raw.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                xs = chunk.replace(",", " ").split()
-                if len(xs) != 2:
-                    raise ValueError(chunk)
-                vertices.append((float(xs[0]), float(xs[1])))
-            values["vertices"] = tuple(vertices)
-        except ValueError as exc:
-            problems.append(f"[domain] vertices: expected 'x y; x y; ...', bad chunk {exc}")
-
-    if cp.has_option("cloud", "type"):
-        ct = cp.get("cloud", "type").strip().lower()
-        if ct not in ("cartesian", "irregular", "csv"):
-            problems.append(f"[cloud] type: must be cartesian, irregular or csv, got {ct!r}")
-        values["cloud_type"] = ct
-    if cp.has_option("cloud", "seed"):
-        try:
-            values["seed"] = int(cp.get("cloud", "seed"))
-        except ValueError:
-            problems.append("[cloud] seed: not an integer")
-    if cp.has_option("cloud", "path"):
-        values["cloud_path"] = cp.get("cloud", "path").strip()
-    if cp.has_option("cloud", "virtual_nodes"):
-        vn = cp.get("cloud", "virtual_nodes").strip().lower()
-        if vn not in ("auto", "none"):
-            problems.append(f"[cloud] virtual_nodes: must be auto or none, got {vn!r}")
-        values["virtual_nodes"] = vn
-    if cp.has_option("time", "max_newton"):
-        try:
-            values["max_newton"] = int(cp.get("time", "max_newton"))
-        except ValueError:
-            problems.append("[time] max_newton: not an integer")
-
-    if cp.has_section("radius"):
-        if cp.has_option("radius", "multiple") and cp.has_option("radius", "absolute"):
-            problems.append("[radius] give either multiple or absolute, not both")
-        elif cp.has_option("radius", "absolute"):
-            values["radius_multiple"] = None
+    if cp.has_option("radius", "multiple") and cp.has_option("radius", "absolute"):
+        problems.append("[radius] give either multiple or absolute, not both")
+    elif cp.has_option("radius", "absolute"):
+        values["radius_multiple"] = None
 
     boundaries: dict[str, SegmentBC] = {}
     for section in cp.sections():
-        if not section.startswith("boundary."):
+        is_boundary = section.startswith("boundary.")
+        known = _BOUNDARY_KEYS if is_boundary else _SECTION_KEYS.get(section)
+        if known is None:
+            problems.append(f"[{section}] unknown section")
+            continue
+        problems += [f"[{section}] {key}: unknown key" for key in cp.options(section) if key not in known]
+        if not is_boundary:
             continue
         name = section.split(".", 1)[1]
         kind = cp.get(section, "kind", fallback="").strip().lower()
         if kind == "dirichlet":
             try:
                 boundaries[name] = SegmentBC.dirichlet(
-                    float(cp.get(section, "pressure")),
-                    float(cp.get(section, "water_saturation")),
+                    _number(cp.get(section, "pressure")),
+                    _number(cp.get(section, "water_saturation")),
                 )
             except (configparser.NoOptionError, ValueError):
                 problems.append(f"[{section}] dirichlet needs numeric pressure and water_saturation")
@@ -250,26 +292,6 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             problems.append(f"[{section}] kind: must be dirichlet, noflow or robin, got {kind!r}")
     values["boundaries"] = boundaries
-
-    if cp.has_option("output", "times"):
-        try:
-            values["output_times"] = tuple(
-                float(v) for v in cp.get("output", "times").replace(",", " ").split()
-            )
-        except ValueError:
-            problems.append("[output] times: expected numbers")
-    if cp.has_option("output", "directory"):
-        values["output_dir"] = cp.get("output", "directory").strip()
-    if cp.has_option("output", "prefix"):
-        values["prefix"] = cp.get("output", "prefix").strip()
-    if cp.has_option("output", "vtk"):
-        raw = cp.get("output", "vtk").strip().lower()
-        if raw in ("true", "yes", "1", "on"):
-            values["vtk"] = True
-        elif raw in ("false", "no", "0", "off"):
-            values["vtk"] = False
-        else:
-            problems.append("[output] vtk: expected true/false")
 
     if problems:
         raise ConfigError(problems)
@@ -296,7 +318,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         elif config.domain_shape == "rectangle":
             for extent, d, name in ((config.width, config.dx, "dx"), (config.height, config.dy, "dy")):
                 ratio = extent / d
-                if abs(ratio - round(ratio)) > 1e-9:
+                if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                     problems.append(f"[cloud] {name}: extent {extent} is not a multiple of {d}")
         if config.domain_shape == "polygon":
             problems.append("[cloud] cartesian clouds require a rectangle domain")
@@ -305,6 +327,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             problems.append("[cloud] spacing must be positive")
         if not (0 <= config.jitter <= 0.5):
             problems.append("[cloud] jitter must lie in [0, 0.5]")
+        if config.seed < 0:
+            problems.append("[cloud] seed must be nonnegative")
     elif config.cloud_type == "csv" and not config.cloud_path:
         problems.append("[cloud] csv clouds need a path")
 
@@ -360,6 +384,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         problems.append("[time] t_end must be nonnegative")
     if config.newton_tol <= 0:
         problems.append("[time] newton_tol must be positive")
+    if config.max_newton < 1:
+        problems.append("[time] max_newton must be at least 1")
     if not (config.dt_grow > 1 > config.dt_cut > 0):
         problems.append("[time] need dt_grow > 1 > dt_cut > 0")
     return problems
@@ -371,7 +397,11 @@ def load_config(path) -> ScenarioConfig:
     from pathlib import Path
 
     path = Path(path)
-    config = parse_config(path.read_text())
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"cannot decode {path}: {exc}"]) from exc
+    config = parse_config(text)
     if config.cloud_path and not Path(config.cloud_path).is_absolute():
         config = config.with_overrides(cloud_path=str((path.parent / config.cloud_path).resolve()))
     return config
@@ -379,71 +409,20 @@ def load_config(path) -> ScenarioConfig:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Render a configuration back to its text form (round-trip stable)."""
+    if config.radius_absolute is not None:
+        # the absolute radius wins, as in ScenarioConfig.influence_radius
+        config = replace(config, radius_multiple=None)
     out = io.StringIO()
 
     def sect(name, pairs):
-        pairs = [(k, v) for k, v in pairs if v is not None]
-        if not pairs:
-            return
         out.write(f"[{name}]\n")
         for k, v in pairs:
             out.write(f"{k} = {v}\n")
         out.write("\n")
 
-    domain_pairs = [("shape", config.domain_shape)]
-    if config.domain_shape == "rectangle":
-        domain_pairs += [("width", repr(config.width)), ("height", repr(config.height))]
-    else:
-        domain_pairs.append(
-            ("vertices", "; ".join(f"{x!r} {y!r}" for x, y in config.vertices))
-        )
-    sect("domain", domain_pairs)
-
-    cloud_pairs = [("type", config.cloud_type)]
-    if config.cloud_type == "cartesian":
-        cloud_pairs += [("dx", repr(config.dx)), ("dy", repr(config.dy))]
-    elif config.cloud_type == "irregular":
-        cloud_pairs += [
-            ("spacing", repr(config.spacing)),
-            ("seed", config.seed),
-            ("jitter", repr(config.jitter)),
-        ]
-    else:
-        cloud_pairs.append(("path", config.cloud_path))
-    if config.virtual_nodes != "auto":
-        cloud_pairs.append(("virtual_nodes", config.virtual_nodes))
-    sect("cloud", cloud_pairs)
-
-    if config.radius_absolute is not None:
-        sect("radius", [("absolute", repr(config.radius_absolute))])
-    else:
-        sect("radius", [("multiple", repr(config.radius_multiple))])
-
-    sect(
-        "rock",
-        [
-            ("permeability", repr(config.permeability)),
-            ("porosity", repr(config.porosity)),
-            ("compressibility", repr(config.compressibility)),
-            ("reference_pressure", repr(config.reference_pressure)),
-        ],
-    )
-    sect(
-        "fluids",
-        [
-            ("oil_viscosity", repr(config.oil_viscosity)),
-            ("water_viscosity", repr(config.water_viscosity)),
-            ("connate_water", repr(config.connate_water)),
-            ("residual_oil", repr(config.residual_oil)),
-        ],
-    )
-    sect(
-        "initial",
-        [
-            ("pressure", repr(config.initial_pressure)),
-            ("water_saturation", repr(config.initial_water_saturation)),
-        ],
-    )
+    for section, rows in groupby(_SCHEMA, key=itemgetter(0)):
+        fields = [(key, show, getattr(config, name)) for _, key, name, (_, show) in rows]
+        sect(section, [(key, show(value)) for key, show, value in fields if value is not None])
     for name in sorted(config.boundaries):
         bc = config.boundaries[name]
         pairs = [("kind", bc.kind)]
@@ -455,25 +434,4 @@ def serialize_config(config: ScenarioConfig) -> str:
                 ("water_saturation", " ".join(repr(v) for v in bc.sw_robin)),
             ]
         sect(f"boundary.{name}", pairs)
-    sect(
-        "time",
-        [
-            ("dt_init", repr(config.dt_init)),
-            ("dt_max", repr(config.dt_max)),
-            ("t_end", repr(config.t_end)),
-            ("newton_tol", repr(config.newton_tol)),
-            ("max_newton", config.max_newton),
-            ("dt_grow", repr(config.dt_grow)),
-            ("dt_cut", repr(config.dt_cut)),
-        ],
-    )
-    sect(
-        "output",
-        [
-            ("times", " ".join(repr(t) for t in config.output_times)),
-            ("directory", config.output_dir),
-            ("prefix", config.prefix),
-            ("vtk", "true" if config.vtk else "false"),
-        ],
-    )
     return out.getvalue()

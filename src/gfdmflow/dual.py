@@ -32,10 +32,6 @@ class Dual:
         self.val = np.asarray(val, dtype=float)
         self.tan = np.asarray(tan, dtype=float)
 
-    @property
-    def n_dirs(self) -> int:
-        return self.tan.shape[-1]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dual(val={self.val!r}, tan={self.tan!r})"
 

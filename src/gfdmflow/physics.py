@@ -8,7 +8,7 @@ plain floats, numpy arrays, or :class:`~gfdmflow.dual.Dual` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,7 @@ class ReservoirModel:
 
     ``permeability``, ``mu_o``, ``mu_w``, ``q_o``, ``q_w`` are per-node
     arrays (length = node count, virtual nodes included); scalars may be
-    passed and are broadcast by :meth:`uniform`.  ``frozen_sw`` is a testing
-    hook: when set, both relative permeabilities are evaluated at that fixed
-    saturation, which makes the flow system linear.
+    passed and are broadcast by :meth:`uniform`.
     """
 
     permeability: np.ndarray
@@ -50,7 +48,6 @@ class ReservoirModel:
     q_o: np.ndarray
     q_w: np.ndarray
     unit_alpha: float = UNIT_ALPHA
-    frozen_sw: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "permeability", np.asarray(self.permeability, dtype=float))
@@ -81,7 +78,6 @@ class ReservoirModel:
         Sor: float = 0.2,
         q_o: float = 0.0,
         q_w: float = 0.0,
-        frozen_sw: float | None = None,
     ) -> "ReservoirModel":
         ones = np.ones(n_nodes)
         return cls(
@@ -95,12 +91,7 @@ class ReservoirModel:
             Sor,
             q_o * ones,
             q_w * ones,
-            frozen_sw=frozen_sw,
         )
-
-    @property
-    def sw_max(self) -> float:
-        return 1.0 - self.Sor
 
 
 @dataclass
@@ -126,8 +117,6 @@ class SimState:
 
 
 def _normalized_sw(sw, model: ReservoirModel):
-    if model.frozen_sw is not None:
-        sw = model.frozen_sw
     span = 1.0 - model.Sor - model.Swc
     clamped = dual.clip(sw, model.Swc, 1.0 - model.Sor)
     return (clamped - model.Swc) / span

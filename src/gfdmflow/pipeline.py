@@ -10,8 +10,6 @@ from .assembly import BoundarySpec, DirichletBC, ImplicitSystem, RobinBC
 from .cloud import (
     NodeCloud,
     NodeKind,
-    Polygon,
-    Rectangle,
     add_virtual_nodes,
     generate_cartesian_cloud,
     generate_irregular_cloud,
@@ -20,7 +18,7 @@ from .cloud import (
 from .config import ScenarioConfig, SegmentBC
 from .errors import SetupError
 from .fdm import FdmGrid, run_fdm
-from .operators import DiffOperators, build_operators
+from .operators import build_operators
 from .physics import ReservoirModel, SimState
 from .postproc import FieldSnapshot, snapshot_from_state
 from .solver import SolverReport, simulate
@@ -158,10 +156,6 @@ def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int,
 @dataclass
 class ScenarioRun:
     cloud: NodeCloud
-    ops: DiffOperators
-    model: ReservoirModel
-    specs: dict[int, BoundarySpec]
-    system: ImplicitSystem
     states: dict[float, SimState]
     report: SolverReport
 
@@ -186,7 +180,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     ).to_vector()
     raw, report = simulate(system, x0, config.time_control(), config.output_times)
     states = {t: SimState.from_vector(x, t) for t, x in raw.items()}
-    return ScenarioRun(cloud, ops, model, specs, system, states, report)
+    return ScenarioRun(cloud, states, report)
 
 
 def fdm_side_specs(config: ScenarioConfig) -> dict[str, BoundarySpec]:

@@ -52,7 +52,10 @@ class FieldSnapshot:
     def read_csv(cls, path) -> "FieldSnapshot":
         """Inverse of :meth:`write_csv`; a malformed file raises :class:`GfdmFlowError`."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows = list(csv.reader(fh))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise GfdmFlowError(f"cannot read snapshot CSV: {exc}") from exc
         if not rows or [c.strip() for c in rows[0]] != ["time", "x", "y", "p", "Sw"]:
             raise GfdmFlowError("snapshot CSV must carry header time,x,y,p,Sw")
         body = []

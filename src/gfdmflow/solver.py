@@ -54,6 +54,8 @@ class TimeControl:
             raise ValueError("need 0 < dt_init <= dt_max")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be at least 1")
         if not (self.dt_grow > 1 > self.dt_cut > 0):
             raise ValueError("need dt_grow > 1 > dt_cut > 0")
         if self.t_end < 0:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gfdmflow import ScenarioConfig, SegmentBC
+from gfdmflow import ScenarioConfig, SegmentBC, physics
 from gfdmflow.cloud import Node, NodeCloud, NodeKind
 
 UP = (0.0, 1.0)
@@ -116,6 +116,19 @@ def full_waterflood_config(**overrides) -> ScenarioConfig:
 @pytest.fixture
 def small_config():
     return waterflood_config()
+
+
+@pytest.fixture
+def freeze_saturation(monkeypatch):
+    """Call with a saturation to evaluate both relative permeabilities there
+    for the rest of the test, whatever saturation they are given; the flow
+    system then becomes linear."""
+    normalized = physics._normalized_sw
+
+    def freeze(sw):
+        monkeypatch.setattr(physics, "_normalized_sw", lambda _sw, model: normalized(sw, model))
+
+    return freeze
 
 
 def assert_imbalance(value, expected, sigfigs=2):

@@ -263,6 +263,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CloudError, match=message):
             read_cloud_csv(path)
 
+    def test_unreadable_csv_raises_cloud_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,x,y,kind,n_x,n_y,host\n0,0.0,0.0,interi\xffor,,,\n")
+        with pytest.raises(CloudError, match="cannot read"):
+            read_cloud_csv(path)
+        # a bare carriage return inside a row of CSV text
+        with pytest.raises(CloudError, match="cannot read"):
+            read_cloud_csv("id,x,y,kind,n_x,n_y,host\n0,0.0,0.0,interior,\r,,\n")
+
     def test_inferred_spacing(self, tmp_path):
         cloud = generate_cartesian_cloud(8, 8, 2, 2, WATERFLOOD_SIDES)
         path = tmp_path / "cloud.csv"

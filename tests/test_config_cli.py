@@ -64,6 +64,92 @@ def tiny_config_path(tmp_path):
     return path
 
 
+SMALL = SMALL_CFG.format(outdir="out")
+POLYGON = (CONFIGS / "waterflood_polygon.cfg").read_text()
+
+# One malformed input per problem message: (id, base text, first occurrence
+# replaced, replacement, the ConfigError problems it yields).
+MALFORMED = [
+    ("unparseable", SMALL, "[domain]\n", "",
+     ["unparseable config: File contains no section headers.\n"
+      "file: '<string>', line: 2\n'shape = rectangle\\n'"]),
+    ("not-a-number", SMALL, "width = 40.0", "width = wide", ["[domain] width: not a number ('wide')"]),
+    ("shape", SMALL, "shape = rectangle", "shape = circle",
+     ["[domain] shape: must be rectangle or polygon, got 'circle'"]),
+    ("vertices-short-chunk", POLYGON, "vertices = 0 0; 200 0;", "vertices = 0 0; 200;",
+     ["[domain] vertices: expected 'x y; x y; ...', bad chunk 200"]),
+    ("vertices-non-numeric", POLYGON, "vertices = 0 0; 200 0;", "vertices = 0 0; 200 x;",
+     ["[domain] vertices: expected 'x y; x y; ...', bad chunk could not convert string to float: 'x'"]),
+    ("cloud-type", SMALL, "type = cartesian", "type = hex",
+     ["[cloud] type: must be cartesian, irregular or csv, got 'hex'"]),
+    ("seed-not-integer", POLYGON, "seed = 7", "seed = 7.5", ["[cloud] seed: not an integer"]),
+    ("virtual-nodes", SMALL, "[cloud]\n", "[cloud]\nvirtual_nodes = some\n",
+     ["[cloud] virtual_nodes: must be auto or none, got 'some'"]),
+    ("max-newton-not-integer", SMALL, "t_end = 5.0", "t_end = 5.0\nmax_newton = many",
+     ["[time] max_newton: not an integer"]),
+    ("radius-both", SMALL, "multiple = 1.001", "multiple = 1.001\nabsolute = 8.0",
+     ["[radius] give either multiple or absolute, not both"]),
+    ("dirichlet-non-numeric", SMALL, "pressure = 15.0", "pressure = high",
+     ["[boundary.left] dirichlet needs numeric pressure and water_saturation"]),
+    ("dirichlet-missing-value", SMALL, "pressure = 15.0\nwater_saturation = 0.8\n", "pressure = 15.0\n",
+     ["[boundary.left] dirichlet needs numeric pressure and water_saturation"]),
+    ("robin-short-triple", SMALL, "kind = noflow",
+     "kind = robin\npressure = 0 1 0\nwater_saturation = 0 1",
+     ["[boundary.top] robin needs 'a b g' triples for pressure and water_saturation"]),
+    ("robin-missing-value", SMALL, "kind = noflow", "kind = robin\npressure = 0 1 0",
+     ["[boundary.top] robin needs 'a b g' triples for pressure and water_saturation"]),
+    ("boundary-kind", SMALL, "kind = noflow", "kind = wall",
+     ["[boundary.top] kind: must be dirichlet, noflow or robin, got 'wall'"]),
+    ("output-times", SMALL, "times = 5.0", "times = 5.0 later", ["[output] times: expected numbers"]),
+    ("output-vtk", SMALL, "prefix = tiny", "prefix = tiny\nvtk = maybe",
+     ["[output] vtk: expected true/false"]),
+    ("rectangle-extents", SMALL, "width = 40.0", "width = -40.0",
+     ["[domain] rectangle extents must be positive"]),
+    ("polygon-vertices", POLYGON, "vertices = 0 0; 200 0; 200 80; 120 72; 60 88; 0 80",
+     "vertices = 0 0; 200 0",
+     [
+         "[domain] polygon needs at least three vertices",
+         "[boundary.edge2] references edge 2 of a 2-edge polygon",
+         "[boundary.edge3] references edge 3 of a 2-edge polygon",
+         "[boundary.edge4] references edge 4 of a 2-edge polygon",
+         "[boundary.edge5] references edge 5 of a 2-edge polygon",
+     ]),
+    ("spacings-positive", SMALL, "dx = 4.0", "dx = 0.0", ["[cloud] spacings must be positive"]),
+    ("extent-multiple", SMALL, "dx = 4.0", "dx = 3.0", ["[cloud] dx: extent 40.0 is not a multiple of 3.0"]),
+    ("cartesian-polygon", POLYGON, "type = irregular", "type = cartesian",
+     ["[cloud] cartesian clouds require a rectangle domain"]),
+    ("spacing-positive", POLYGON, "spacing = 4.0", "spacing = 0.0", ["[cloud] spacing must be positive"]),
+    ("jitter-range", POLYGON, "jitter = 0.3", "jitter = 0.7", ["[cloud] jitter must lie in [0, 0.5]"]),
+    ("csv-path", SMALL, "type = cartesian", "type = csv", ["[cloud] csv clouds need a path"]),
+    ("radius-multiple", SMALL, "multiple = 1.001", "multiple = 0.9",
+     ["[radius] multiple 0.9 <= 1: stencil underdetermined risk "
+      "(axis neighbors may fall outside the influence domain)"]),
+    ("radius-absolute", POLYGON, "absolute = 8.0", "absolute = -1.0",
+     ["[radius] absolute radius must be positive"]),
+    ("saturations-nonnegative", POLYGON, "connate_water = 0.2", "connate_water = -0.1",
+     ["[fluids] saturations must be nonnegative"]),
+    ("saturation-budget", POLYGON, "residual_oil = 0.2", "residual_oil = 0.9",
+     ["[fluids] connate_water + residual_oil must be below 1 (got 0.2 + 0.9)"]),
+    ("viscosities", POLYGON, "oil_viscosity = 10.0", "oil_viscosity = 0.0",
+     ["[fluids] viscosities must be positive"]),
+    ("permeability", POLYGON, "permeability = 100.0", "permeability = 0.0",
+     ["[rock] permeability must be positive"]),
+    ("porosity", POLYGON, "porosity = 0.3", "porosity = 1.0", ["[rock] porosity must lie in (0, 1)"]),
+    ("missing-side", SMALL, "[boundary.top]\nkind = noflow\n", "",
+     ["[boundary.top] missing (rectangle sides must all be specified)"]),
+    ("edge-name", POLYGON, "[boundary.edge0]", "[boundary.bottom]",
+     ["[boundary.bottom] polygon boundaries must be named edgeK"]),
+    ("edge-number", POLYGON, "[boundary.edge0]", "[boundary.edgeX]",
+     ["[boundary.edgeX] polygon boundaries must be named edgeK"]),
+    ("edge-range", POLYGON, "[boundary.edge0]", "[boundary.edge9]",
+     ["[boundary.edge9] references edge 9 of a 6-edge polygon"]),
+    ("dt-order", SMALL, "dt_init = 0.01", "dt_init = 3.0", ["[time] need 0 < dt_init <= dt_max"]),
+    ("t-end", SMALL, "t_end = 5.0", "t_end = -5.0", ["[time] t_end must be nonnegative"]),
+    ("newton-tol", POLYGON, "newton_tol = 1e-6", "newton_tol = 0.0", ["[time] newton_tol must be positive"]),
+    ("dt-grow-cut", POLYGON, "dt_grow = 1.5", "dt_grow = 1.0", ["[time] need dt_grow > 1 > dt_cut > 0"]),
+]
+
+
 class TestConfigParsing:
     def test_round_trip_identity(self, tiny_config_path):
         cfg = load_config(tiny_config_path)
@@ -107,6 +193,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="edge 9"):
             parse_config(bad)
 
+
+    @pytest.mark.parametrize(
+        "base, old, new, problems", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_problem_messages(self, base, old, new, problems):
+        assert old in base
+        with pytest.raises(ConfigError) as err:
+            parse_config(base.replace(old, new, 1))
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize(
+        "base, old, new, problem",
+        [
+            (SMALL, "t_end = 5.0", "t_end = 5.0\ndt_maxx = 0.5", "[time] dt_maxx: unknown key"),
+            (SMALL, "[time]", "[tiem]", "[tiem] unknown section"),
+            (SMALL, "kind = noflow", "kind = noflow\npressure = 1.0\nstray = 1", "[boundary.top] stray: unknown key"),
+        ],
+        ids=["misspelt-key", "misspelt-section", "stray-boundary-key"],
+    )
+    def test_unknown_names_rejected(self, base, old, new, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base.replace(old, new, 1))
+        assert err.value.problems == [problem]
+
+    def test_round_trip_keeps_keys_of_other_cloud_types(self):
+        cfg = load_config(CONFIGS / "waterflood_4m.cfg").with_overrides(spacing=2.5, seed=11, jitter=0.1)
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_shipped_configs_parse(self):
         for name in ("waterflood_4m.cfg", "waterflood_polygon.cfg", "diagnose_layouts.cfg"):
             cfg = load_config(CONFIGS / name)
@@ -139,6 +253,11 @@ class TestRunCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_undecodable_config_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[domain]\nshape = rect\xffangle\n")
+        assert main(["run", str(bad)]) == 2
+
     def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
@@ -160,6 +279,27 @@ class TestRunCommand:
         )
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "tiny_gfdm_t5.vtk").exists()
+
+
+@pytest.mark.parametrize(
+    "base, old, new, problem",
+    [
+        (SMALL, "width = 40.0", "width = nan", "[domain] width: not a finite number ('nan')"),
+        (SMALL, "width = 40.0", "width = inf", "[domain] width: not a finite number ('inf')"),
+        (POLYGON, "seed = 7", "seed = -3", "[cloud] seed must be nonnegative"),
+        (SMALL, "t_end = 5.0", "t_end = 5.0\nmax_newton = 0", "[time] max_newton must be at least 1"),
+    ],
+    ids=["nan", "inf", "negative-seed", "no-newton-iterations"],
+)
+def test_bad_values_end_in_config_error(tmp_path, monkeypatch, base, old, new, problem):
+    text = base.replace(old, new, 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [problem]
+    monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path / "out"))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
 
 
 class TestDiagnoseCommand:
@@ -223,12 +363,12 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "body",
-        ["", "0.0,1.0,2.0,x,0.5\n", "0.0,1.0,2.0\n"],
-        ids=["header-only", "non-numeric", "short-row"],
+        [b"", b"0.0,1.0,2.0,x,0.5\n", b"0.0,1.0,2.0\n", b"0.0,1.0,2.0,3.0,\xff\n"],
+        ids=["header-only", "non-numeric", "short-row", "undecodable"],
     )
     def test_compare_malformed_snapshot_exit_code(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.csv"
-        bad.write_text("time,x,y,p,Sw\n" + body)
+        bad.write_bytes(b"time,x,y,p,Sw\n" + body)
         assert main(["compare", str(bad), str(bad)]) == 3
         assert "snapshot CSV" in capsys.readouterr().err
 

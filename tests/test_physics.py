@@ -42,8 +42,9 @@ class TestRelativePermeability:
         assert np.all(np.diff(o) <= 0)
         assert np.all(w + o <= 1.0 + 1e-12)
 
-    def test_frozen_saturation_hook(self):
-        model = ReservoirModel.uniform(2, frozen_sw=0.8)
+    def test_frozen_saturation_hook(self, freeze_saturation):
+        freeze_saturation(0.8)
+        model = ReservoirModel.uniform(2)
         assert krw(0.3, model) == 1.0
         assert kro(0.3, model) == 0.0
 

@@ -26,10 +26,8 @@ from gfdmflow import solver
 from test_assembly import SIDES, uniform_state, waterflood_setup
 
 
-def small_system(mult=1.001, frozen_sw=None, Cr=0.0):
+def small_system(mult=1.001):
     cloud, ops, model, specs = waterflood_setup(width=16.0, height=8.0, mult=mult)
-    if frozen_sw is not None or Cr != 0.0:
-        model = ReservoirModel.uniform(len(cloud), frozen_sw=frozen_sw, Cr=Cr)
     return ImplicitSystem(cloud, ops, model, specs), cloud
 
 
@@ -84,8 +82,9 @@ class TestJacobian:
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(dense - fd) / scale) <= 1e-5
 
-    def test_frozen_mobility_pressure_block_constant(self):
-        system, cloud = small_system(frozen_sw=0.8)
+    def test_frozen_mobility_pressure_block_constant(self, freeze_saturation):
+        freeze_saturation(0.8)
+        system, cloud = small_system()
         rng = np.random.default_rng(3)
         x_old = uniform_state(cloud).to_vector()
         jacs = []
@@ -160,8 +159,9 @@ class TestNewtonStep:
         assert norm <= 1e-12
         assert np.allclose(x1, x_old, atol=1e-12)
 
-    def test_frozen_mobility_single_iteration(self):
-        system, cloud = small_system(frozen_sw=0.8)
+    def test_frozen_mobility_single_iteration(self, freeze_saturation):
+        freeze_saturation(0.8)
+        system, cloud = small_system()
         x_old = uniform_state(cloud).to_vector()
         x1, norm = newton_step(system, x_old, x_old, 0.5)
         assert norm <= 1e-12
@@ -200,8 +200,9 @@ class TestNewtonStep:
 
 
 class TestAdvance:
-    def test_equilibrium_grows_dt(self):
-        system, cloud = small_system(frozen_sw=0.8)
+    def test_equilibrium_grows_dt(self, freeze_saturation):
+        freeze_saturation(0.8)
+        system, cloud = small_system()
         x_old = uniform_state(cloud).to_vector()
         tc = TimeControl(dt_init=0.25, dt_max=2.0, t_end=10.0)
         x, record, dt_next, cuts = advance(system, x_old, 0.0, 0.25, tc)
@@ -223,6 +224,11 @@ class TestAdvance:
         tc = TimeControl(dt_init=1.0, dt_max=1.0, t_end=2.0, max_newton=2, max_cuts=3)
         with pytest.raises(TimeStepCollapseError, match="collapse"):
             advance(problem, np.array([1.0]), 0.0, 1.0, tc)
+
+    def test_no_newton_iterations_rejected(self):
+        # with no iteration allowed every step would be cut until collapse
+        with pytest.raises(ValueError, match="max_newton"):
+            TimeControl(dt_init=1.0, dt_max=1.0, t_end=2.0, max_newton=0)
 
     def test_convergence_at_cap_counts(self):
         class CountedProblem(ScalarProblem):
