@@ -104,6 +104,16 @@ class Rectangle:
         )
 
 
+def point_segment_distance2(x, y, a, b):
+    """Squared distance from the point(s) ``(x, y)`` to the segment ``a``-``b``;
+    a zero-length segment is the point ``a``."""
+    (x1, y1), (x2, y2) = a, b
+    ex, ey = x2 - x1, y2 - y1
+    ee = ex * ex + ey * ey
+    t = 0.0 if ee == 0 else np.clip(((x - x1) * ex + (y - y1) * ey) / ee, 0.0, 1.0)
+    return (x - (x1 + t * ex)) ** 2 + (y - (y1 + t * ey)) ** 2
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon, counter-clockwise vertex order."""
@@ -137,11 +147,7 @@ class Polygon:
                 x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= crosses & (x < x_cross)
             # distance from the segment, for the boundary-inclusive rule
-            ex, ey = x2 - x1, y2 - y1
-            ee = ex * ex + ey * ey
-            t = np.clip(((x - x1) * ex + (y - y1) * ey) / ee, 0.0, 1.0)
-            d2 = (x - (x1 + t * ex)) ** 2 + (y - (y1 + t * ey)) ** 2
-            on_edge |= d2 <= tol * tol
+            on_edge |= point_segment_distance2(x, y, v[k], v[(k + 1) % n]) <= tol * tol
         return inside | on_edge
 
     def inscribed_width(self, samples: int = 60) -> float:
@@ -154,19 +160,9 @@ class Polygon:
         if not mask.any():
             return 0.0
         px, py = X.ravel()[mask], Y.ravel()[mask]
-        best = 0.0
         n = len(v)
-        dmin = np.full(px.shape, np.inf)
-        for k in range(n):
-            x1, y1 = v[k]
-            x2, y2 = v[(k + 1) % n]
-            ex, ey = x2 - x1, y2 - y1
-            ee = ex * ex + ey * ey
-            t = np.clip(((px - x1) * ex + (py - y1) * ey) / ee, 0.0, 1.0)
-            d2 = (px - (x1 + t * ex)) ** 2 + (py - (y1 + t * ey)) ** 2
-            dmin = np.minimum(dmin, d2)
-        best = float(np.sqrt(dmin.max()))
-        return 2.0 * best
+        dmin = np.min([point_segment_distance2(px, py, v[k], v[(k + 1) % n]) for k in range(n)], axis=0)
+        return 2.0 * float(np.sqrt(dmin.max()))
 
 
 Domain = Rectangle | Polygon
@@ -285,7 +281,6 @@ class Stencil:
     global sign choice validated by the golden coefficient tests.
     """
 
-    center: int
     neighbors: np.ndarray
     offsets: np.ndarray
     distances: np.ndarray
@@ -312,7 +307,7 @@ def find_stencil(cloud: NodeCloud, center: int, r_e: float) -> Stencil:
         )
     offsets = cloud.positions[ids] - cloud.positions[center]
     distances = np.hypot(offsets[:, 0], offsets[:, 1])
-    return Stencil(int(center), ids, offsets, distances, float(r_e))
+    return Stencil(ids, offsets, distances, float(r_e))
 
 
 # -- generators ---------------------------------------------------------------
@@ -495,19 +490,19 @@ def generate_irregular_cloud(
     x_hi, y_hi = verts.max(axis=0)
     xs = np.arange(x_lo + target_spacing, x_hi - 0.5 * target_spacing + 1e-12, target_spacing)
     ys = np.arange(y_lo + target_spacing, y_hi - 0.5 * target_spacing + 1e-12, target_spacing)
+    # one jitter draw per lattice point, y-major as the lattice is walked
+    gx, gy = np.meshgrid(xs, ys)
+    delta = rng.uniform(-jitter, jitter, size=(gx.size, 2)) * target_spacing
+    candidates = np.column_stack([gx.ravel() + delta[:, 0], gy.ravel() + delta[:, 1]])
+    candidates = candidates[poly.contains(candidates[:, 0], candidates[:, 1], tol=0.0)]
     m = len(positions)
-    pool = np.empty((m + len(xs) * len(ys), 2))
+    pool = np.empty((m + len(candidates), 2))
     pool[:m] = positions
-    for y in ys:
-        for x in xs:
-            delta = rng.uniform(-jitter, jitter, size=2) * target_spacing
-            px, py = x + delta[0], y + delta[1]
-            if not bool(poly.contains(px, py, tol=0.0)[0]):
-                continue
-            if np.min(np.hypot(pool[:m, 0] - px, pool[:m, 1] - py)) < min_dist:
-                continue
-            pool[m] = px, py
-            m += 1
+    for px, py in candidates:
+        if np.min(np.hypot(pool[:m, 0] - px, pool[:m, 1] - py)) < min_dist:
+            continue
+        pool[m] = px, py
+        m += 1
     n_interior = m - len(positions)
     kinds += [NodeKind.INTERIOR] * n_interior
     normals += [(np.nan, np.nan)] * n_interior

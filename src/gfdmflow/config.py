@@ -356,12 +356,16 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     if not (0 < config.porosity < 1):
         problems.append("[rock] porosity must lie in (0, 1)")
 
-    # boundary completeness (CSV clouds already carry node kinds; runs on
-    # them still need matching sections, checked at setup time)
-    if config.domain_shape == "rectangle" and config.cloud_type != "csv":
-        for side in _SIDE_NAMES:
-            if side not in config.boundaries:
-                problems.append(f"[boundary.{side}] missing (rectangle sides must all be specified)")
+    if config.domain_shape == "rectangle":
+        for name in config.boundaries:
+            if name not in _SIDE_NAMES:
+                problems.append(f"[boundary.{name}] rectangle boundaries must be named left, right, top or bottom")
+        # boundary completeness (CSV clouds already carry node kinds; runs on
+        # them still need matching sections, checked at setup time)
+        if config.cloud_type != "csv":
+            for side in _SIDE_NAMES:
+                if side not in config.boundaries:
+                    problems.append(f"[boundary.{side}] missing (rectangle sides must all be specified)")
     elif config.domain_shape == "polygon":
         for name in config.boundaries:
             if not name.startswith("edge"):

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import BoundarySpec, DirichletBC, PairFluxSystem, RobinBC
+from .assembly import AffineRow, BoundarySpec, DirichletBC, PairFluxSystem, RobinBC
 from .errors import SetupError
 from .physics import ReservoirModel, SimState
 from .solver import TimeControl, simulate
@@ -74,8 +74,6 @@ class FdmSystem(PairFluxSystem):
     """
 
     def __init__(self, grid: FdmGrid, model: ReservoirModel, side_specs: Mapping[str, BoundarySpec]):
-        self._init_tables(model, grid.n_nodes)
-        self.grid = grid
         for side in _SIDES:
             if side not in side_specs:
                 raise SetupError(f"missing boundary spec for side {side}")
@@ -103,24 +101,26 @@ class FdmSystem(PairFluxSystem):
         mark(grid.index(0, np.arange(ny)), "left")
         mark(grid.index(nx - 1, np.arange(ny)), "right")
 
-        self.flow_ids = np.flatnonzero(~dirichlet)
-        self.dirichlet_ids = np.flatnonzero(dirichlet)
+        flow_ids = np.flatnonzero(~dirichlet)
 
         pi, pj, coef = [], [], []
-        ix, iy = np.divmod(self.flow_ids, ny)
+        ix, iy = np.divmod(flow_ids, ny)
         for dix, diy, c in ((1, 0, 1.0 / grid.dx**2), (-1, 0, 1.0 / grid.dx**2),
                             (0, 1, 1.0 / grid.dy**2), (0, -1, 1.0 / grid.dy**2)):
             jx, jy = ix + dix, iy + diy
             ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-            pi.append(self.flow_ids[ok])
+            pi.append(flow_ids[ok])
             pj.append(grid.index(jx[ok], jy[ok]))
             coef.append(np.full(int(ok.sum()), c))
-        self._set_pairs(np.concatenate(pi), np.concatenate(pj), np.concatenate(coef))
 
-        for i in self.dirichlet_ids:
-            p_val, sw_val = dirichlet_vals[int(i)]
-            self._add_dirichlet_rows(int(i), p_val, sw_val)
-        self._finalize()
+        const_rows = [
+            AffineRow(2 * i + k, 1.0, 2 * i + k, value)
+            for i in np.flatnonzero(dirichlet)
+            for k, value in enumerate(dirichlet_vals[int(i)])
+        ]
+        super().__init__(
+            model, grid.n_nodes, flow_ids, np.concatenate(pi), np.concatenate(pj), np.concatenate(coef), const_rows
+        )
 
 
 def run_fdm(

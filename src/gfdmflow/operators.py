@@ -122,7 +122,6 @@ class DiffOperators:
     Immutable and safe for concurrent reads.
     """
 
-    r_e: float
     stencils: dict[int, Stencil]
     rows: dict[int, np.ndarray]
 
@@ -174,7 +173,7 @@ def build_operators(cloud: NodeCloud, r_e: float, degenerate: str = "raise") -> 
         stencil, coeff = build_node_rows(cloud, int(center), r_e, degenerate)
         stencils[int(center)] = stencil
         rows[int(center)] = coeff
-    return DiffOperators(float(r_e), stencils, rows)
+    return DiffOperators(stencils, rows)
 
 
 def apply_operators(ops: DiffOperators, field: np.ndarray, node: int) -> DerivativeBundle:
@@ -198,15 +197,12 @@ class StencilQuality:
     family nearest the center, half the sum of the family's coefficients;
     zero for stencils mirror-symmetric about the vertical axis together with
     symmetric derivative content, growing as the one-sided error grows.
-    ``family_sums`` keeps every family for row 2 (the y-derivative row used
-    by the front-uniformity analysis), keyed by the family ``|dx|``.
     """
 
     node: int
     n_neighbors: int
     centroid_offset: float
     imbalance: tuple[float, float, float, float, float]
-    family_sums: dict[float, float]
     rcond: float
 
 
@@ -229,11 +225,8 @@ def stencil_quality(ops: DiffOperators, node: int) -> StencilQuality:
     centroid = np.linalg.norm(stencil.offsets.mean(axis=0)) / stencil.radius
     h_tol = 1e-6 * stencil.radius
     per_row = []
-    e2_families: dict[float, float] = {}
     for m in range(5):
         fams = _family_imbalances(stencil.offsets, rows[m], h_tol)
-        if m == 1:
-            e2_families = fams
         if fams:
             nearest = min(fams.keys())
             per_row.append(fams[nearest])
@@ -247,7 +240,6 @@ def stencil_quality(ops: DiffOperators, node: int) -> StencilQuality:
         n_neighbors=len(stencil),
         centroid_offset=float(centroid),
         imbalance=tuple(per_row),
-        family_sums=e2_families,
         rcond=rcond,
     )
 

@@ -13,6 +13,7 @@ from .cloud import (
     add_virtual_nodes,
     generate_cartesian_cloud,
     generate_irregular_cloud,
+    point_segment_distance2,
     read_cloud_csv,
 )
 from .config import ScenarioConfig, SegmentBC
@@ -93,15 +94,6 @@ def _segment_to_spec(bc: SegmentBC) -> BoundarySpec:
     return BoundarySpec(RobinBC(*bc.p_robin), RobinBC(*bc.sw_robin))
 
 
-def _point_segment_distance(px, py, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    ex, ey = bx - ax, by - ay
-    ee = ex * ex + ey * ey
-    t = 0.0 if ee == 0 else max(0.0, min(1.0, ((px - ax) * ex + (py - ay) * ey) / ee))
-    return float(np.hypot(px - (ax + t * ex), py - (ay + t * ey)))
-
-
 def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int, BoundarySpec]:
     """Map each boundary node to its segment's condition.
 
@@ -137,18 +129,19 @@ def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int,
         bcs = edge_bcs
 
     tol = 1e-6 * cloud.h
+    ids = np.flatnonzero((cloud.kinds == NodeKind.DIRICHLET) | (cloud.kinds == NodeKind.ROBIN))
+    x, y = cloud.positions[ids, 0], cloud.positions[ids, 1]
+    on_segment = [(name, point_segment_distance2(x, y, a, b) <= tol * tol) for name, (a, b) in named]
     specs: dict[int, BoundarySpec] = {}
-    for i in np.flatnonzero((cloud.kinds == NodeKind.DIRICHLET) | (cloud.kinds == NodeKind.ROBIN)):
-        x, y = cloud.positions[i]
-        kind = NodeKind(int(cloud.kinds[i]))
-        want = "dirichlet" if kind == NodeKind.DIRICHLET else "robin"
+    for k, i in enumerate(ids):
+        want = "dirichlet" if cloud.kinds[i] == NodeKind.DIRICHLET else "robin"
         chosen = None
-        for name, (a, b) in named:
-            if _point_segment_distance(x, y, a, b) <= tol and _segment_kind(bcs[name]) == want:
+        for name, on in on_segment:
+            if on[k] and _segment_kind(bcs[name]) == want:
                 chosen = bcs[name]
                 break
         if chosen is None:
-            raise SetupError(f"boundary node {int(i)} at ({x}, {y}) matches no boundary segment")
+            raise SetupError(f"boundary node {int(i)} at ({x[k]}, {y[k]}) matches no boundary segment")
         specs[int(i)] = _segment_to_spec(chosen)
     return specs
 

@@ -20,7 +20,6 @@ order, without relaxed supernodes.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +73,6 @@ class StepRecord:
 class SolverReport:
     steps: list[StepRecord] = field(default_factory=list)
     cut_events: int = 0
-    wall_time: float = 0.0
 
     @property
     def total_newton_iterations(self) -> int:
@@ -229,7 +227,6 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     targets = sorted({float(t) for t in output_times if 0.0 < t <= tc.t_end} | ({tc.t_end} if tc.t_end > 0 else set()))
     snapshots: dict[float, np.ndarray] = {0.0: x0.copy()}
     report = SolverReport()
-    start = time.perf_counter()
     x = x0.copy()
     t = 0.0
     dt = tc.dt_init
@@ -246,5 +243,4 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
         while next_idx < len(targets) and t >= targets[next_idx] - eps:
             snapshots[targets[next_idx]] = x.copy()
             next_idx += 1
-    report.wall_time = time.perf_counter() - start
     return snapshots, report

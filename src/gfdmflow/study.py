@@ -26,11 +26,9 @@ class ReferenceField:
 
     dx: float
     dy: float
-    x_values: np.ndarray
     p: np.ndarray
     sw: np.ndarray
     y_invariant: bool
-    y_values: np.ndarray | None = None
 
     def sample(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -63,11 +61,10 @@ def build_reference(
     final = states[max(states)]
     p = final.p.reshape(grid.nx, grid.ny)
     sw = final.sw.reshape(grid.nx, grid.ny)
-    xs = np.arange(grid.nx) * grid.dx
     if strip_ny is not None:
         mid = grid.ny // 2
-        return ReferenceField(grid.dx, grid.dy, xs, p[:, mid].copy(), sw[:, mid].copy(), True)
-    return ReferenceField(grid.dx, grid.dy, xs, p, sw, False, np.arange(grid.ny) * grid.dy)
+        return ReferenceField(grid.dx, grid.dy, p[:, mid].copy(), sw[:, mid].copy(), True)
+    return ReferenceField(grid.dx, grid.dy, p, sw, False)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,6 @@ class StudyRow:
 @dataclass
 class StudyResult:
     rows: list[StudyRow]
-    reference_dx: float
 
     def slopes(self, solver: str, field: str) -> list[float]:
         """Log-log slopes of consecutive row pairs, coarse to fine."""
@@ -153,6 +149,6 @@ def convergence_study(
             rows.append(StudyRow(h, re_p_g, re_sw_g, re_p_f, re_sw_f))
     except Exception:
         if partial_sink is not None and rows:
-            partial_sink(StudyResult(rows, reference.dx))
+            partial_sink(StudyResult(rows))
         raise
-    return StudyResult(rows, reference.dx)
+    return StudyResult(rows)

@@ -144,7 +144,7 @@ def test_criterion_2_symmetry_imbalance():
             )[0]
         )
         stencil, rows = build_node_rows(cloud, center, 2.5)
-        ops = DiffOperators(2.5, {center: stencil}, {center: rows})
+        ops = DiffOperators({center: stencil}, {center: rows})
         got = gf.stencil_quality(ops, center).imbalance[1]
         want = golden.IMBALANCE[name]
         if want == 0.0:

@@ -288,8 +288,15 @@ class TestRunCommand:
         (SMALL, "width = 40.0", "width = inf", "[domain] width: not a finite number ('inf')"),
         (POLYGON, "seed = 7", "seed = -3", "[cloud] seed must be nonnegative"),
         (SMALL, "t_end = 5.0", "t_end = 5.0\nmax_newton = 0", "[time] max_newton must be at least 1"),
+        *(
+            (SMALL.replace("type = cartesian", f"type = {cloud_type}"), "[boundary.top]",
+             "[boundary.middle]\nkind = noflow\n\n[boundary.top]",
+             "[boundary.middle] rectangle boundaries must be named left, right, top or bottom")
+            for cloud_type in ("cartesian", "irregular", "csv\npath = cloud.csv")
+        ),
     ],
-    ids=["nan", "inf", "negative-seed", "no-newton-iterations"],
+    ids=["nan", "inf", "negative-seed", "no-newton-iterations",
+         "rectangle-middle-cartesian", "rectangle-middle-irregular", "rectangle-middle-csv"],
 )
 def test_bad_values_end_in_config_error(tmp_path, monkeypatch, base, old, new, problem):
     text = base.replace(old, new, 1)

@@ -207,7 +207,7 @@ class TestStencilQuality:
     def test_mirrored_rows_balance(self, layout_mirrored_virtual_rows):
         cloud, ids = layout_mirrored_virtual_rows
         stencil, rows = build_node_rows(cloud, ids["3"], 2.5)
-        ops = DiffOperators(2.5, {ids["3"]: stencil}, {ids["3"]: rows})
+        ops = DiffOperators({ids["3"]: stencil}, {ids["3"]: rows})
         q = stencil_quality(ops, ids["3"])
         assert_imbalance(q.imbalance[1], 0.0)
         assert q.n_neighbors == 20
@@ -215,14 +215,14 @@ class TestStencilQuality:
     def test_single_virtual_row_imbalance(self, layout_single_virtual_row):
         cloud, ids = layout_single_virtual_row
         stencil, rows = build_node_rows(cloud, ids["3"], 2.5)
-        ops = DiffOperators(2.5, {ids["3"]: stencil}, {ids["3"]: rows})
+        ops = DiffOperators({ids["3"]: stencil}, {ids["3"]: rows})
         q = stencil_quality(ops, ids["3"])
         assert_imbalance(q.imbalance[1], 5.29e-5)
 
     def test_no_virtuals_imbalance(self, layout_no_virtuals):
         cloud, ids = layout_no_virtuals
         stencil, rows = build_node_rows(cloud, ids["3"], 2.5)
-        ops = DiffOperators(2.5, {ids["3"]: stencil}, {ids["3"]: rows})
+        ops = DiffOperators({ids["3"]: stencil}, {ids["3"]: rows})
         q = stencil_quality(ops, ids["3"])
         assert_imbalance(q.imbalance[1], -1.25e-2)
 

@@ -59,8 +59,15 @@ class TestJacobian:
                 expected[row] = 1.0
                 assert np.array_equal(dense[row], expected)
 
-    def test_matches_central_differences(self):
+    @pytest.mark.parametrize("host_p", [None, RobinBC(1.0, 2.0, 3.0)], ids=["noflow", "robin-a-nonzero"])
+    def test_matches_central_differences(self, host_p):
         system, cloud = small_system()
+        if host_p is not None:
+            # the virtual row of this host has a != 0, so its host entry is a - sum(c)
+            host = int(cloud.ids_of_kind(NodeKind.ROBIN)[0])
+            specs = dict(system.specs)
+            specs[host] = BoundarySpec(host_p, specs[host].sw)
+            system = ImplicitSystem(cloud, system.ops, system.model, specs)
         rng = np.random.default_rng(2)
         # keep pressures well separated so no upwind switch sits inside the
         # finite-difference step
