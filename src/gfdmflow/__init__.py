@@ -15,7 +15,6 @@ from .cloud import (
     NodeCloud,
     NodeKind,
     Polygon,
-    Rectangle,
     Stencil,
     add_virtual_nodes,
     find_stencil,

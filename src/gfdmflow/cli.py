@@ -41,14 +41,8 @@ def _out_dir(config) -> Path:
 def _load(path: str):
     try:
         return load_config(path)
-    except ConfigError as exc:
-        print("configuration errors:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        raise
     except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        raise ConfigError([str(exc)]) from exc
+        raise ConfigError([f"cannot read config: {exc}"]) from exc
 
 
 def _cmd_run(args) -> int:
@@ -121,7 +115,10 @@ def _select_nodes(cloud, selector: str) -> np.ndarray:
         if want not in table:
             raise SetupError(f"unknown kind selector {want!r}")
         return cloud.ids_of_kind(table[want])
-    ids = np.array([int(v) for v in selector.replace(",", " ").split()], dtype=np.int64)
+    try:
+        ids = np.array([int(v) for v in selector.replace(",", " ").split()], dtype=np.int64)
+    except ValueError as exc:
+        raise SetupError(f"node selector {selector!r} is not 'all', 'kind=<kind>' or a list of ids") from exc
     if len(ids) == 0 or np.any(ids < 0) or np.any(ids >= len(cloud)):
         raise SetupError(f"node selector {selector!r} matches nothing")
     return ids
@@ -176,10 +173,12 @@ def _cmd_compare(args) -> int:
     xb, yb = snap_b.x[order_b], snap_b.y[order_b]
     if np.max(np.abs(xa - xb)) > 1e-9 or np.max(np.abs(ya - yb)) > 1e-9:
         raise SetupError("snapshots are not on matching node coordinates")
-    re_p = relative_error(snap_a.p[order_a], snap_b.p[order_b])
-    re_sw = relative_error(snap_a.sw[order_a], snap_b.sw[order_b])
-    print(f"RE_p = {re_p:.6e}")
-    print(f"RE_Sw = {re_sw:.6e}")
+    for name, a, b in (("p", snap_a.p, snap_b.p), ("Sw", snap_a.sw, snap_b.sw)):
+        try:
+            rel = relative_error(a[order_a], b[order_b])
+        except ValueError as exc:
+            raise SetupError(f"RE_{name}: {exc} ({name} of {args.snapshot_b})") from exc
+        print(f"RE_{name} = {rel:.6e}")
     if args.profile_y is not None:
         xp_a, _, sw_a = extract_profile(snap_a, args.profile_y, args.tol)
         xp_b, _, sw_b = extract_profile(snap_b, args.profile_y, args.tol)
@@ -231,7 +230,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError:
+    except ConfigError as exc:
+        print("configuration errors:", file=sys.stderr)
+        for problem in exc.problems:
+            print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)

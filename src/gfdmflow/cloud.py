@@ -22,7 +22,6 @@ __all__ = [
     "Node",
     "NodeCloud",
     "Stencil",
-    "Rectangle",
     "Polygon",
     "generate_cartesian_cloud",
     "generate_irregular_cloud",
@@ -78,30 +77,6 @@ class Node:
                 raise CloudError(f"node {self.id}: normal is not unit length ({norm})")
         if (self.kind == NodeKind.VIRTUAL) != (self.host is not None):
             raise CloudError(f"node {self.id}: host present iff kind is virtual")
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def contains(self, x, y, tol: float = 0.0):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (
-            (x >= self.x0 - tol)
-            & (x <= self.x1 + tol)
-            & (y >= self.y0 - tol)
-            & (y <= self.y1 + tol)
-        )
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return np.array(
-            [(self.x0, self.y0), (self.x1, self.y0), (self.x1, self.y1), (self.x0, self.y1)]
-        )
 
 
 def point_segment_distance2(x, y, a, b):
@@ -165,9 +140,6 @@ class Polygon:
         return 2.0 * float(np.sqrt(dmin.max()))
 
 
-Domain = Rectangle | Polygon
-
-
 @dataclass(frozen=True)
 class NodeCloud:
     """Immutable set of nodes with boundary metadata.
@@ -181,7 +153,7 @@ class NodeCloud:
     normals: np.ndarray
     hosts: np.ndarray
     h: float
-    domain: Domain | None = None
+    domain: Polygon | None = None
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -255,7 +227,7 @@ class NodeCloud:
         return (self.node(i) for i in range(len(self)))
 
     @classmethod
-    def from_nodes(cls, nodes: Sequence[Node], h: float, domain: Domain | None = None) -> "NodeCloud":
+    def from_nodes(cls, nodes: Sequence[Node], h: float, domain: Polygon | None = None) -> "NodeCloud":
         n = len(nodes)
         positions = np.empty((n, 2))
         kinds = np.empty(n, dtype=np.int8)
@@ -313,11 +285,44 @@ def find_stencil(cloud: NodeCloud, center: int, r_e: float) -> Stencil:
 # -- generators ---------------------------------------------------------------
 
 
-def _corner_merge(kind_a: NodeKind, kind_b: NodeKind) -> NodeKind:
-    # Dirichlet is the stronger constraint and wins at corners.
-    if NodeKind.DIRICHLET in (kind_a, kind_b):
-        return NodeKind.DIRICHLET
-    return NodeKind.ROBIN
+#: The sides of a rectangle as its counter-clockwise edges, with their
+#: outward normals.
+_SIDES = ("bottom", "right", "top", "left")
+_SIDE_NORMALS = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
+
+
+def _edge_kinds(kinds: Sequence[str | NodeKind], names: Sequence[str]) -> np.ndarray:
+    out = []
+    for name, k in zip(names, kinds):
+        if isinstance(k, str):
+            k = _KIND_FROM_NAME.get(k.lower())
+        if k not in (NodeKind.DIRICHLET, NodeKind.ROBIN):
+            raise CloudError(f"{name}: boundary kind must be dirichlet or robin")
+        out.append(k)
+    return np.array(out)
+
+
+def _classify_nodes(incidence: np.ndarray, edge_kinds: np.ndarray, edge_normals: np.ndarray):
+    """Node kinds and normals from an ``(n, n_edges)`` node-edge incidence.
+
+    A node on no edge is interior.  A node on a Dirichlet edge is Dirichlet,
+    the stronger constraint, also at a corner.  Any other boundary node is
+    Robin: on one edge it keeps that edge's normal as given, at a corner it
+    takes the normalized sum of its two edges' normals.
+    """
+    dirichlet = (incidence & (edge_kinds == NodeKind.DIRICHLET)).any(axis=1)
+    robin = incidence.any(axis=1) & ~dirichlet
+    kinds = np.where(dirichlet, NodeKind.DIRICHLET, np.where(robin, NodeKind.ROBIN, NodeKind.INTERIOR))
+    # select the normals by index: summing them through a matmul with the
+    # incidence would turn their -0.0 components into +0.0
+    first = incidence.argmax(axis=1)
+    last = incidence.shape[1] - 1 - incidence[:, ::-1].argmax(axis=1)
+    normals = np.full((len(incidence), 2), np.nan)
+    normals[robin] = edge_normals[first[robin]]
+    corner = robin & (first != last)
+    nvec = edge_normals[first[corner]] + edge_normals[last[corner]]
+    normals[corner] = nvec / np.hypot(nvec[:, 0], nvec[:, 1])[:, None]
+    return kinds.astype(np.int8), normals
 
 
 def generate_cartesian_cloud(
@@ -332,7 +337,8 @@ def generate_cartesian_cloud(
     ``boundary_kinds`` maps each of ``left right top bottom`` to ``dirichlet``
     or ``robin``.  Corner nodes take the kind of the higher-priority side
     (Dirichlet beats Robin); a Robin corner's normal is the normalized sum of
-    the adjoining side normals.
+    the adjoining side normals.  The cloud's domain is the :class:`Polygon`
+    of the four corners.
     """
     if dx <= 0 or dy <= 0:
         raise CloudError("spacings must be positive")
@@ -342,69 +348,19 @@ def generate_cartesian_cloud(
         raise CloudError("extents must be integer multiples of the spacings")
     nx, ny = int(round(nx)) + 1, int(round(ny)) + 1
 
-    kinds_by_side = {}
-    for side in ("left", "right", "top", "bottom"):
-        k = boundary_kinds[side]
-        if isinstance(k, str):
-            k = _KIND_FROM_NAME[k.lower()]
-        if k not in (NodeKind.DIRICHLET, NodeKind.ROBIN):
-            raise CloudError(f"side {side}: boundary kind must be dirichlet or robin")
-        kinds_by_side[side] = k
-    side_normals = {
-        "left": (-1.0, 0.0),
-        "right": (1.0, 0.0),
-        "bottom": (0.0, -1.0),
-        "top": (0.0, 1.0),
-    }
-
-    positions = []
-    kinds = []
-    normals = []
-    for i in range(nx):
-        for j in range(ny):
-            x, y = i * dx, j * dy
-            sides = []
-            if i == 0:
-                sides.append("left")
-            if i == nx - 1:
-                sides.append("right")
-            if j == 0:
-                sides.append("bottom")
-            if j == ny - 1:
-                sides.append("top")
-            if not sides:
-                kind, normal = NodeKind.INTERIOR, (np.nan, np.nan)
-            elif len(sides) == 1:
-                kind = kinds_by_side[sides[0]]
-                normal = side_normals[sides[0]] if kind == NodeKind.ROBIN else (np.nan, np.nan)
-            else:
-                kind = _corner_merge(kinds_by_side[sides[0]], kinds_by_side[sides[1]])
-                if kind == NodeKind.ROBIN:
-                    nvec = np.sum([side_normals[s] for s in sides], axis=0)
-                    nvec = nvec / np.hypot(*nvec)
-                    normal = (float(nvec[0]), float(nvec[1]))
-                else:
-                    normal = (np.nan, np.nan)
-            positions.append((x, y))
-            kinds.append(kind)
-            normals.append(normal)
-
-    n = len(positions)
+    edge_kinds = _edge_kinds([boundary_kinds[side] for side in _SIDES], [f"side {side}" for side in _SIDES])
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    incidence = np.column_stack([iy == 0, ix == nx - 1, iy == ny - 1, ix == 0])
+    kinds, normals = _classify_nodes(incidence, edge_kinds, _SIDE_NORMALS)
+    x1, y1 = float(x_extent), float(y_extent)
     return NodeCloud(
-        np.array(positions),
-        np.array(kinds, dtype=np.int8),
-        np.array(normals),
-        np.full(n, -1, dtype=np.int64),
+        np.column_stack([ix * dx, iy * dy]),
+        kinds,
+        normals,
+        np.full(nx * ny, -1, dtype=np.int64),
         h=min(dx, dy),
-        domain=Rectangle(0.0, 0.0, float(x_extent), float(y_extent)),
+        domain=Polygon(((0.0, 0.0), (x1, 0.0), (x1, y1), (0.0, y1))),
     )
-
-
-def _edge_normal(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    # outward normal of a CCW polygon edge
-    e = p1 - p0
-    n = np.array([e[1], -e[0]])
-    return n / np.hypot(*n)
 
 
 def generate_irregular_cloud(
@@ -438,49 +394,18 @@ def generate_irregular_cloud(
         edge_kinds = ["robin"] * n_edges
     if len(edge_kinds) != n_edges:
         raise CloudError("one boundary kind per polygon edge required")
-    kinds_per_edge = []
-    for k in edge_kinds:
-        if isinstance(k, str):
-            k = _KIND_FROM_NAME[k.lower()]
-        if k not in (NodeKind.DIRICHLET, NodeKind.ROBIN):
-            raise CloudError("edge kinds must be dirichlet or robin")
-        kinds_per_edge.append(k)
+    edge_kinds = _edge_kinds(edge_kinds, [f"edge {e}" for e in range(n_edges)])
+    ends = np.roll(verts, -1, axis=0)
 
-    positions: list[tuple[float, float]] = []
-    kinds: list[NodeKind] = []
-    normals: list[tuple[float, float]] = []
-
-    # vertices first: kind merged from adjoining edges
-    for v in range(n_edges):
-        prev_edge = (v - 1) % n_edges
-        kind = _corner_merge(kinds_per_edge[prev_edge], kinds_per_edge[v])
-        if kind == NodeKind.ROBIN:
-            nvec = _edge_normal(verts[prev_edge], verts[v]) + _edge_normal(
-                verts[v], verts[(v + 1) % n_edges]
-            )
-            nvec = nvec / np.hypot(*nvec)
-            normal = (float(nvec[0]), float(nvec[1]))
-        else:
-            normal = (np.nan, np.nan)
-        positions.append((float(verts[v, 0]), float(verts[v, 1])))
-        kinds.append(kind)
-        normals.append(normal)
-
-    # edge-interior boundary nodes
-    for e in range(n_edges):
-        p0, p1 = verts[e], verts[(e + 1) % n_edges]
-        length = float(np.hypot(*(p1 - p0)))
-        n_seg = max(1, int(round(length / target_spacing)))
-        nvec = _edge_normal(p0, p1)
-        for s in range(1, n_seg):
-            p = p0 + (s / n_seg) * (p1 - p0)
-            positions.append((float(p[0]), float(p[1])))
-            if kinds_per_edge[e] == NodeKind.ROBIN:
-                kinds.append(NodeKind.ROBIN)
-                normals.append((float(nvec[0]), float(nvec[1])))
-            else:
-                kinds.append(NodeKind.DIRICHLET)
-                normals.append((np.nan, np.nan))
+    # boundary nodes: the vertices first, then the interior nodes of each edge
+    positions = [verts]
+    edge_of = [np.arange(n_edges)]
+    for e, (p0, p1) in enumerate(zip(verts, ends)):
+        n_seg = max(1, int(round(float(np.hypot(*(p1 - p0))) / target_spacing)))
+        positions.append(p0 + (np.arange(1, n_seg)[:, None] / n_seg) * (p1 - p0))
+        edge_of.append(np.full(n_seg - 1, e))
+    positions = np.concatenate(positions)
+    edge_of = np.concatenate(edge_of)
 
     # interior fill: jittered lattice with min-distance rejection against
     # the accepted nodes, pool[:m]
@@ -503,14 +428,20 @@ def generate_irregular_cloud(
             continue
         pool[m] = px, py
         m += 1
-    n_interior = m - len(positions)
-    kinds += [NodeKind.INTERIOR] * n_interior
-    normals += [(np.nan, np.nan)] * n_interior
 
+    # each vertex also ends the edge before it
+    incidence = np.zeros((m, n_edges), dtype=bool)
+    incidence[np.arange(len(edge_of)), edge_of] = True
+    incidence[np.arange(n_edges), np.arange(n_edges) - 1] = True
+    # outward unit normals of the CCW edges
+    e = ends - verts
+    edge_normals = np.column_stack([e[:, 1], -e[:, 0]])
+    edge_normals /= np.hypot(edge_normals[:, 0], edge_normals[:, 1])[:, None]
+    kinds, normals = _classify_nodes(incidence, edge_kinds, edge_normals)
     return NodeCloud(
         pool[:m],
-        np.array(kinds, dtype=np.int8),
-        np.array(normals),
+        kinds,
+        normals,
         np.full(m, -1, dtype=np.int64),
         h=float(target_spacing),
         domain=poly,
@@ -576,7 +507,7 @@ def write_cloud_csv(cloud: NodeCloud, path) -> None:
             )
 
 
-def read_cloud_csv(path_or_text, h: float | None = None, domain: Domain | None = None) -> NodeCloud:
+def read_cloud_csv(path_or_text, h: float | None = None, domain: Polygon | None = None) -> NodeCloud:
     """Load a cloud from the fixture CSV format.
 
     When ``h`` is omitted it is estimated as the median nearest-neighbor

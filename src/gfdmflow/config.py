@@ -222,7 +222,41 @@ _SCHEMA = (
 )
 _SECTION_KEYS = {s: {k for s2, k, *_ in _SCHEMA if s2 == s} for s, *_ in _SCHEMA}
 _BOUNDARY_KEYS = {"kind", "pressure", "water_saturation"}
-_SIDE_NAMES = ("left", "right", "top", "bottom")
+# A rectangle is the polygon (0, 0), (w, 0), (w, h), (0, h): its sides are
+# its edges in this counter-clockwise order.
+_SIDE_NAMES = ("bottom", "right", "top", "left")
+
+
+def _missing_sides(config: ScenarioConfig) -> list[str]:
+    return [
+        f"[boundary.{side}] missing (rectangle sides must all be specified)"
+        for side in _SIDE_NAMES
+        if side not in config.boundaries
+    ]
+
+
+def _boundary_edges(config: ScenarioConfig) -> list[tuple[str, tuple[float, float], tuple[float, float], SegmentBC]]:
+    """The configured boundary, one ``(name, start, end, SegmentBC)`` row per
+    edge in counter-clockwise order.
+
+    A rectangle's edges are its sides, named as in ``_SIDE_NAMES``; a missing
+    side is a :class:`ConfigError`.  Polygon edge K runs from vertex K to
+    vertex K+1, is named ``edgeK`` and is no-flow unless configured.
+    """
+    if config.domain_shape == "rectangle":
+        missing = _missing_sides(config)
+        if missing:
+            raise ConfigError(missing)
+        w, h = config.width, config.height
+        vertices, names = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)), _SIDE_NAMES
+    else:
+        vertices = config.vertices
+        names = [f"edge{k}" for k in range(len(vertices))]
+    n = len(vertices)
+    return [
+        (name, vertices[k], vertices[(k + 1) % n], config.boundaries.get(name) or SegmentBC.noflow())
+        for k, name in enumerate(names)
+    ]
 
 
 def _parse_triple(text: str):
@@ -361,11 +395,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             if name not in _SIDE_NAMES:
                 problems.append(f"[boundary.{name}] rectangle boundaries must be named left, right, top or bottom")
         # boundary completeness (CSV clouds already carry node kinds; runs on
-        # them still need matching sections, checked at setup time)
+        # them still need every side, checked when the boundary table is built)
         if config.cloud_type != "csv":
-            for side in _SIDE_NAMES:
-                if side not in config.boundaries:
-                    problems.append(f"[boundary.{side}] missing (rectangle sides must all be specified)")
+            problems += _missing_sides(config)
     elif config.domain_shape == "polygon":
         for name in config.boundaries:
             if not name.startswith("edge"):

@@ -16,7 +16,7 @@ from .cloud import (
     point_segment_distance2,
     read_cloud_csv,
 )
-from .config import ScenarioConfig, SegmentBC
+from .config import ScenarioConfig, SegmentBC, _boundary_edges
 from .errors import SetupError
 from .fdm import FdmGrid, run_fdm
 from .operators import build_operators
@@ -26,47 +26,28 @@ from .solver import SolverReport, simulate
 
 __all__ = ["ScenarioRun", "build_cloud", "build_model", "assign_boundary_specs", "run_scenario", "run_fdm_scenario"]
 
-_RECT_EDGE_ORDER = ("bottom", "right", "top", "left")
 
-
-def _segment_kind(bc: SegmentBC) -> str:
-    return "dirichlet" if bc.kind == "dirichlet" else "robin"
-
-
-def _rect_vertices(config: ScenarioConfig):
-    return ((0.0, 0.0), (config.width, 0.0), (config.width, config.height), (0.0, config.height))
-
-
-def _polygon_edge_kinds(config: ScenarioConfig, n_edges: int) -> list[str]:
-    kinds = []
-    for e in range(n_edges):
-        bc = config.boundaries.get(f"edge{e}", SegmentBC.noflow())
-        kinds.append(_segment_kind(bc))
-    return kinds
+def _node_kind(bc: SegmentBC) -> NodeKind:
+    return NodeKind.DIRICHLET if bc.kind == "dirichlet" else NodeKind.ROBIN
 
 
 def build_cloud(config: ScenarioConfig) -> NodeCloud:
     """Cloud per the configuration, virtual nodes already inserted."""
-    if config.cloud_type == "cartesian":
-        kinds = {side: _segment_kind(config.boundaries[side]) for side in ("left", "right", "top", "bottom")}
-        cloud = generate_cartesian_cloud(config.width, config.height, config.dx, config.dy, kinds)
-        offset = min(config.dx, config.dy)
-    elif config.cloud_type == "irregular":
-        if config.domain_shape == "rectangle":
-            vertices = _rect_vertices(config)
-            edge_kinds = [_segment_kind(config.boundaries[s]) for s in _RECT_EDGE_ORDER]
-        else:
-            vertices = config.vertices
-            edge_kinds = _polygon_edge_kinds(config, len(vertices))
-        cloud = generate_irregular_cloud(
-            vertices, config.spacing, config.seed, jitter=config.jitter, edge_kinds=edge_kinds
-        )
-        offset = config.spacing
-    elif config.cloud_type == "csv":
+    if config.cloud_type == "csv":
         cloud = read_cloud_csv(config.cloud_path)
         offset = cloud.h
     else:
-        raise SetupError(f"unknown cloud type {config.cloud_type!r}")
+        edges = _boundary_edges(config)
+        kinds = {name: _node_kind(bc) for name, _, _, bc in edges}
+        if config.cloud_type == "cartesian":
+            cloud = generate_cartesian_cloud(config.width, config.height, config.dx, config.dy, kinds)
+            offset = min(config.dx, config.dy)
+        else:
+            vertices = [start for _, start, _, _ in edges]
+            cloud = generate_irregular_cloud(
+                vertices, config.spacing, config.seed, jitter=config.jitter, edge_kinds=list(kinds.values())
+            )
+            offset = config.spacing
     if cloud.n_virtual == 0 and config.virtual_nodes == "auto":
         cloud = add_virtual_nodes(cloud, offset)
     return cloud
@@ -95,55 +76,26 @@ def _segment_to_spec(bc: SegmentBC) -> BoundarySpec:
 
 
 def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int, BoundarySpec]:
-    """Map each boundary node to its segment's condition.
+    """Map each boundary node to the condition of an edge it lies on.
 
-    A node on several segments (corner) takes a segment whose kind matches
-    the node's own kind, which the generators already resolved with the
-    Dirichlet-wins priority rule.
+    The edge's kind must match the node's own kind, which the generators
+    resolved with the Dirichlet-wins rule.  At a corner between two edges of
+    that kind, a rectangle's vertical side (left or right) wins, as in
+    :class:`~gfdmflow.fdm.FdmSystem`; polygon edges go in index order.
     """
-    if config.cloud_type == "cartesian" or (
-        config.cloud_type == "csv" and config.domain_shape == "rectangle"
-    ):
-        segments = {
-            "left": ((0.0, 0.0), (0.0, config.height)),
-            "right": ((config.width, 0.0), (config.width, config.height)),
-            "bottom": ((0.0, 0.0), (config.width, 0.0)),
-            "top": ((0.0, config.height), (config.width, config.height)),
-        }
-        named = [(name, segments[name]) for name in ("left", "right", "bottom", "top")]
-        bcs = {name: config.boundaries[name] for name in segments}
-    else:
-        if config.domain_shape == "rectangle":
-            vertices = _rect_vertices(config)
-            edge_bcs = {f"edge{k}": config.boundaries[s] for k, s in enumerate(_RECT_EDGE_ORDER)}
-        else:
-            vertices = config.vertices
-            edge_bcs = {
-                f"edge{k}": config.boundaries.get(f"edge{k}", SegmentBC.noflow())
-                for k in range(len(vertices))
-            }
-        named = [
-            (f"edge{k}", (vertices[k], vertices[(k + 1) % len(vertices)]))
-            for k in range(len(vertices))
-        ]
-        bcs = edge_bcs
-
+    edges = sorted(_boundary_edges(config), key=lambda edge: edge[0] not in ("left", "right"))
     tol = 1e-6 * cloud.h
     ids = np.flatnonzero((cloud.kinds == NodeKind.DIRICHLET) | (cloud.kinds == NodeKind.ROBIN))
     x, y = cloud.positions[ids, 0], cloud.positions[ids, 1]
-    on_segment = [(name, point_segment_distance2(x, y, a, b) <= tol * tol) for name, (a, b) in named]
-    specs: dict[int, BoundarySpec] = {}
-    for k, i in enumerate(ids):
-        want = "dirichlet" if cloud.kinds[i] == NodeKind.DIRICHLET else "robin"
-        chosen = None
-        for name, on in on_segment:
-            if on[k] and _segment_kind(bcs[name]) == want:
-                chosen = bcs[name]
-                break
-        if chosen is None:
-            raise SetupError(f"boundary node {int(i)} at ({x[k]}, {y[k]}) matches no boundary segment")
-        specs[int(i)] = _segment_to_spec(chosen)
-    return specs
+    chosen = np.full(len(ids), -1)
+    for e, (_, a, b, bc) in enumerate(edges):
+        on = (cloud.kinds[ids] == _node_kind(bc)) & (point_segment_distance2(x, y, a, b) <= tol * tol)
+        chosen[on & (chosen < 0)] = e
+    if np.any(chosen < 0):
+        k = int(np.argmax(chosen < 0))
+        raise SetupError(f"boundary node {int(ids[k])} at ({x[k]}, {y[k]}) matches no boundary segment")
+    specs = [_segment_to_spec(bc) for *_, bc in edges]
+    return {int(i): specs[e] for i, e in zip(ids, chosen)}
 
 
 @dataclass
@@ -178,7 +130,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
 
 def fdm_side_specs(config: ScenarioConfig) -> dict[str, BoundarySpec]:
     """Each rectangle side's condition, as :class:`~gfdmflow.fdm.FdmSystem` takes it."""
-    return {side: _segment_to_spec(config.boundaries[side]) for side in _RECT_EDGE_ORDER}
+    return {name: _segment_to_spec(bc) for name, _, _, bc in _boundary_edges(config)}
 
 
 def run_fdm_scenario(
@@ -196,6 +148,7 @@ def run_fdm_scenario(
     """
     if config.domain_shape != "rectangle":
         raise SetupError("reference FDM needs a rectangular domain")
+    side_specs = fdm_side_specs(config)
     dx = config.dx if dx is None else dx
     dy = config.dy if dy is None else dy
     if abs(config.width / dx - round(config.width / dx)) > 1e-9:
@@ -210,7 +163,7 @@ def run_fdm_scenario(
     states, report = run_fdm(
         model,
         grid,
-        fdm_side_specs(config),
+        side_specs,
         tc,
         p_init=config.initial_pressure,
         sw_init=config.initial_water_saturation,

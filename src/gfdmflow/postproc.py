@@ -99,9 +99,10 @@ def extract_profile(snapshot: FieldSnapshot, y_line: float, tol: float = 1e-6):
 def interpolate_to_lattice(snapshot: FieldSnapshot, domain, spacing: float, k: int = 4):
     """Inverse-distance interpolation (power 2, k nearest) onto a lattice.
 
-    ``domain`` is a :class:`Rectangle`/:class:`Polygon` or a
-    :class:`NodeCloud` carrying one.  Lattice points coincident with a node
-    take the nodal value exactly; points outside the domain are marked NaN.
+    ``domain`` is a :class:`Polygon` or a :class:`NodeCloud` carrying one
+    (a Cartesian cloud carries the polygon of its four corners).  Lattice
+    points coincident with a node take the nodal value exactly; points
+    outside the domain are marked NaN.
     Returns ``(X, Y, P, SW)`` with 2-D arrays shaped (ny, nx).
     """
     if spacing <= 0:

@@ -253,6 +253,14 @@ class TestRunCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("solver", ["gfdm", "fdm"])
+    def test_csv_rectangle_without_sides_is_config_error(self, tmp_path, monkeypatch, capsys, solver):
+        monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path))
+        assert main(["run", str(CONFIGS / "diagnose_layouts.cfg"), "--solver", solver]) == 2
+        err = capsys.readouterr().err
+        for side in ("left", "right", "top", "bottom"):
+            assert f"[boundary.{side}] missing" in err
+
     def test_undecodable_config_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"[domain]\nshape = rect\xffangle\n")
@@ -328,9 +336,12 @@ class TestDiagnoseCommand:
         # interior + robin nodes carry operators on the 11x5 lattice
         assert len(lines) - 1 == 3 * 9 + 2 * 9
 
-    def test_empty_selector_fails(self, tiny_config_path, tmp_path, monkeypatch):
+    def test_empty_selector_fails(self, tiny_config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path))
         assert main(["diagnose", str(tiny_config_path), "--nodes", "kind=dirichlet"]) == 3
+        for selector in ("abc", "1,x"):
+            assert main(["diagnose", str(tiny_config_path), "--nodes", selector]) == 3
+            assert repr(selector) in capsys.readouterr().err
 
     def test_operator_dump_flag(self, tiny_config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path))
@@ -367,6 +378,14 @@ class TestCompareCommand:
         re_p = float(out.splitlines()[0].split("=")[1])
         assert re_p < 1e-3
 
+
+    def test_compare_zero_reference_field(self, tmp_path, capsys):
+        # water saturation 0 everywhere, as at t = 0 with no connate water
+        snap = tmp_path / "t0.csv"
+        snap.write_text("time,x,y,p,Sw\n0.0,0.0,0.0,10.0,0.0\n0.0,4.0,0.0,10.0,0.0\n")
+        assert main(["compare", str(snap), str(snap)]) == 3
+        err = capsys.readouterr().err
+        assert "RE_Sw" in err and "zero norm" in err
 
     @pytest.mark.parametrize(
         "body",

@@ -7,6 +7,7 @@ from gfdmflow import (
     BoundarySpec,
     DirichletBC,
     FdmGrid,
+    FdmSystem,
     NodeKind,
     ReservoirModel,
     RobinBC,
@@ -21,6 +22,7 @@ from gfdmflow import (
     run_fdm_scenario,
     run_scenario,
 )
+from gfdmflow.pipeline import assign_boundary_specs, build_cloud, build_model, fdm_side_specs
 
 from conftest import waterflood_config
 
@@ -115,6 +117,36 @@ class TestBoundaryConsistency:
         assert report.steps == want_report.steps
         assert np.array_equal(states[2.0].p, want_states[2.0].p)
         assert np.array_equal(states[2.0].sw, want_states[2.0].sw)
+
+
+class TestCornerRule:
+    """A corner between two sides of the same kind takes the vertical side's
+    condition on every cloud, as the reference does."""
+
+    @pytest.mark.parametrize("cloud_type", ["cartesian", "irregular"])
+    @pytest.mark.parametrize(
+        "left, bottom",
+        [
+            (SegmentBC.dirichlet(20.0, 0.8), SegmentBC.dirichlet(5.0, 0.3)),
+            (
+                SegmentBC("robin", p_robin=(1.0, 2.0, 3.0), sw_robin=(0.5, 1.5, 0.1)),
+                SegmentBC("robin", p_robin=(2.0, 1.0, 4.0), sw_robin=(1.0, 1.0, 0.2)),
+            ),
+        ],
+        ids=["dirichlet", "robin"],
+    )
+    def test_corner_takes_left_side(self, cloud_type, left, bottom):
+        boundaries = {**waterflood_config().boundaries, "left": left, "bottom": bottom}
+        config = waterflood_config(cloud_type=cloud_type, spacing=4.0, boundaries=boundaries)
+        cloud = build_cloud(config)
+        corner = int(np.flatnonzero((cloud.positions == 0.0).all(axis=1))[0])
+        spec = assign_boundary_specs(cloud, config)[corner]
+        assert spec == fdm_side_specs(config)["left"]
+        if left.kind == "dirichlet":
+            grid = FdmGrid(nx=11, ny=5, dx=4.0, dy=4.0)
+            system = FdmSystem(grid, build_model(config, grid.n_nodes), fdm_side_specs(config))
+            held = [system.row_g[system.row == 2 * grid.index(0, 0) + k][0] for k in (0, 1)]
+            assert held == [spec.p.value, spec.sw.value] == [20.0, 0.8]
 
 
 class TestDegeneracyCrossCheck:

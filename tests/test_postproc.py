@@ -8,7 +8,7 @@ from gfdmflow import (
     front_width,
     interpolate_to_lattice,
 )
-from gfdmflow.cloud import Polygon, Rectangle
+from gfdmflow.cloud import Polygon
 from gfdmflow.postproc import FieldSnapshot, write_vtk_points
 
 from oracle import oracle_point_in_polygon
@@ -49,7 +49,7 @@ class TestExtractProfile:
 class TestLatticeInterpolation:
     def test_exact_hit_returns_nodal_value(self):
         snap = lattice_snapshot(p_fn=lambda x, y: x + 2 * y)
-        domain = Rectangle(0.0, 0.0, 200.0, 80.0)
+        domain = Polygon(((0.0, 0.0), (200.0, 0.0), (200.0, 80.0), (0.0, 80.0)))
         X, Y, P, SW = interpolate_to_lattice(snap, domain, 4.0)
         assert np.allclose(P, X + 2 * Y)
 
@@ -74,7 +74,7 @@ class TestLatticeInterpolation:
         # lattice points coincide with nodes: the exact-hit shortcut makes
         # linear reproduction exact
         snap = lattice_snapshot(p_fn=lambda x, y: 5.0 + 0.1 * x)
-        domain = Rectangle(0.0, 0.0, 200.0, 80.0)
+        domain = Polygon(((0.0, 0.0), (200.0, 0.0), (200.0, 80.0), (0.0, 80.0)))
         X, _, P, _ = interpolate_to_lattice(snap, domain, 4.0)
         want = 5.0 + 0.1 * X
         assert np.nanmax(np.abs(P - want) / np.abs(want)) < 1e-6
