@@ -9,13 +9,9 @@ independent reference, and the CLI drives scenario runs, stencil
 diagnostics, and convergence studies.
 """
 
-from .assembly import BoundarySpec, DirichletBC, ImplicitSystem, RobinBC
+from .assembly import ImplicitSystem
 from .cloud import (
-    Node,
-    NodeCloud,
     NodeKind,
-    Polygon,
-    Stencil,
     add_virtual_nodes,
     find_stencil,
     generate_cartesian_cloud,
@@ -36,14 +32,7 @@ from .errors import (
     UnphysicalValueError,
 )
 from .fdm import FdmGrid, FdmSystem, relative_error, run_fdm
-from .operators import (
-    DerivativeBundle,
-    DiffOperators,
-    apply_operators,
-    build_operators,
-    stencil_quality,
-    weight,
-)
+from .operators import apply_operators, build_operators, stencil_quality, weight
 from .physics import (
     ReservoirModel,
     SimState,
@@ -53,16 +42,8 @@ from .physics import (
     porosity,
     upwind_mobilities,
 )
-from .pipeline import ScenarioRun, run_fdm_scenario, run_scenario
-from .postproc import (
-    FieldSnapshot,
-    extract_profile,
-    front_positions,
-    front_width,
-    interpolate_to_lattice,
-    snapshot_from_state,
-)
-from .solver import SolverReport, StepRecord, TimeControl, advance, newton_step, simulate
-from .study import build_reference, convergence_study
+from .pipeline import run_fdm_scenario, run_scenario
+from .postproc import extract_profile, front_positions, front_width, interpolate_to_lattice
+from .solver import TimeControl, advance, newton_step, simulate
 
 __version__ = "0.1.0"

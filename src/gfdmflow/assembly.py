@@ -24,7 +24,6 @@ of index arrays, which the linear solver recognises as a known pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,52 +31,20 @@ import scipy.sparse as sp
 
 from . import dual
 from .cloud import NodeCloud, NodeKind
+from .config import SegmentBC
 from .errors import SetupError
 from .operators import DiffOperators
 from .physics import ReservoirModel, pair_transmissibility_parts, porosity, upwind_mobilities
 
-__all__ = [
-    "DirichletBC",
-    "RobinBC",
-    "BoundarySpec",
-    "ImplicitSystem",
-]
+__all__ = ["ImplicitSystem"]
 
 
-@dataclass(frozen=True)
-class DirichletBC:
-    """Prescribed value ``u = value`` on a boundary node."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class RobinBC:
-    """Derivative condition ``a*u + b*du/dn = g`` on a boundary node.
-
-    Coefficients are named a/b/g to keep clear of the flux unit constant.
-    ``noflow()`` is the common special case ``du/dn = 0``.
-    """
-
-    a: float
-    b: float
-    g: float
-
-    def __post_init__(self):
-        if self.a == 0.0 and self.b == 0.0:
+def robin_triples(bc: SegmentBC):
+    """The ``(a, b, g)`` triples of a robin condition, for p and for Sw."""
+    for a, b, _ in (bc.p_robin, bc.sw_robin):
+        if a == 0.0 and b == 0.0:
             raise SetupError("robin condition with a = b = 0 constrains nothing")
-
-    @classmethod
-    def noflow(cls) -> "RobinBC":
-        return cls(0.0, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Per-node boundary data for the two variables."""
-
-    p: DirichletBC | RobinBC
-    sw: DirichletBC | RobinBC
+    return bc.p_robin, bc.sw_robin
 
 
 class AffineRow(NamedTuple):
@@ -242,8 +209,10 @@ class ImplicitSystem(PairFluxSystem):
     """Meshless residual/Jacobian evaluator for one cloud and radius.
 
     The constructor validates the setup (operators present for all flow
-    nodes, complete boundary specs, virtual nodes resolvable in their host
-    stencils) and freezes the sparsity pattern.  Pair coefficients are the
+    nodes, a condition of the node's kind for every Dirichlet node and every
+    virtual node's host, virtual nodes resolvable in their host stencils) and
+    freezes the sparsity pattern.  ``specs`` maps those boundary nodes to
+    their :class:`~gfdmflow.config.SegmentBC`.  Pair coefficients are the
     Laplacian rows ``e3 + e4`` of the difference operators.
     """
 
@@ -252,7 +221,7 @@ class ImplicitSystem(PairFluxSystem):
         cloud: NodeCloud,
         ops: DiffOperators,
         model: ReservoirModel,
-        specs: Mapping[int, BoundarySpec],
+        specs: Mapping[int, SegmentBC],
     ):
         self.cloud = cloud
         self.ops = ops
@@ -275,15 +244,15 @@ class ImplicitSystem(PairFluxSystem):
 
         const_rows = []
         for c in dirichlet_ids:
-            spec = self.specs.get(int(c))
-            if spec is None or not isinstance(spec.p, DirichletBC) or not isinstance(spec.sw, DirichletBC):
+            bc = self.specs.get(int(c))
+            if bc is None or bc.kind != "dirichlet":
                 raise SetupError(f"dirichlet node {int(c)} needs Dirichlet values for p and Sw")
-            const_rows += [AffineRow(2 * c + k, 1.0, 2 * c + k, bc.value) for k, bc in enumerate((spec.p, spec.sw))]
+            const_rows += [AffineRow(2 * c + k, 1.0, 2 * c + k, g) for k, g in enumerate((bc.p_value, bc.sw_value))]
 
         for b in virtual_ids:
             a_host = int(cloud.hosts[b])
-            spec = self.specs.get(a_host)
-            if spec is None or not isinstance(spec.p, RobinBC) or not isinstance(spec.sw, RobinBC):
+            bc = self.specs.get(a_host)
+            if bc is None or bc.kind != "robin":
                 raise SetupError(f"robin node {a_host} needs Robin triples for p and Sw")
             stencil = ops.stencil(a_host)
             if int(b) not in set(int(x) for x in stencil.neighbors):
@@ -293,9 +262,7 @@ class ImplicitSystem(PairFluxSystem):
                 )
             normal = cloud.normals[a_host]
             cdir = ops.directional_row(a_host, (normal[0], normal[1]))
-            for k, bc in enumerate((spec.p, spec.sw)):
-                const_rows.append(
-                    AffineRow(2 * b + k, bc.a, 2 * a_host + k, bc.g, 2 * stencil.neighbors + k, bc.b * cdir)
-                )
+            for k, (a, coef, g) in enumerate(robin_triples(bc)):
+                const_rows.append(AffineRow(2 * b + k, a, 2 * a_host + k, g, 2 * stencil.neighbors + k, coef * cdir))
 
         super().__init__(model, len(cloud), flow_ids, pair_i, pair_j, laplacian, const_rows)

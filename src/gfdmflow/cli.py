@@ -32,10 +32,10 @@ EXIT_IO = 4
 
 
 def _out_dir(config) -> Path:
+    """The output directory; created by the first write, so a run that fails
+    at set-up leaves nothing behind."""
     override = os.environ.get("GFDMFLOW_OUTDIR")
-    path = Path(override) if override else Path(config.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(override) if override else Path(config.output_dir)
 
 
 def _load(path: str):
@@ -56,6 +56,7 @@ def _cmd_run(args) -> int:
         grid, states, report = run_fdm_scenario(config)
         snapshots = {t: fdm_state_snapshot(grid, s) for t, s in states.items()}
     try:
+        out.mkdir(parents=True, exist_ok=True)
         for t, snap in sorted(snapshots.items()):
             stem = f"{config.prefix}_{args.solver}_t{t:g}"
             snap.write_csv(out / f"{stem}.csv")
@@ -78,6 +79,7 @@ def _cmd_convergence(args) -> int:
     table_path = out / f"{config.prefix}_convergence.csv"
 
     def sink(partial):
+        out.mkdir(parents=True, exist_ok=True)
         partial.write_csv(table_path)
         print(f"partial results saved to {table_path}", file=sys.stderr)
 
@@ -91,6 +93,7 @@ def _cmd_convergence(args) -> int:
         partial_sink=sink,
     )
     try:
+        out.mkdir(parents=True, exist_ok=True)
         result.write_csv(table_path)
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
@@ -135,6 +138,7 @@ def _cmd_diagnose(args) -> int:
         raise SetupError(f"selector {args.nodes!r} matches no node with operators")
     path = out / f"{config.prefix}_diagnose.csv"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(

@@ -162,18 +162,18 @@ class NodeCloud:
         object.__setattr__(self, "kinds", np.asarray(self.kinds, dtype=np.int8))
         object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
         object.__setattr__(self, "hosts", np.asarray(self.hosts, dtype=np.int64))
-        self._validate()
+        if positions.shape != (len(positions), 2):
+            raise CloudError("positions must have shape (n, 2)")
         object.__setattr__(self, "_tree", cKDTree(positions))
+        self._validate()
 
     def _validate(self):
         n = len(self.positions)
-        if self.positions.shape != (n, 2):
-            raise CloudError("positions must have shape (n, 2)")
         if not (len(self.kinds) == len(self.normals) == len(self.hosts) == n):
             raise CloudError("field lengths disagree")
         if self.h <= 0:
             raise CloudError("characteristic spacing must be positive")
-        pairs = cKDTree(self.positions).query_pairs(_COINCIDENT_TOL * self.h)
+        pairs = self._tree.query_pairs(_COINCIDENT_TOL * self.h)
         if pairs:
             i, j = sorted(pairs)[0]
             raise CloudError(f"nodes {i} and {j} coincide")
@@ -285,10 +285,21 @@ def find_stencil(cloud: NodeCloud, center: int, r_e: float) -> Stencil:
 # -- generators ---------------------------------------------------------------
 
 
-#: The sides of a rectangle as its counter-clockwise edges, with their
-#: outward normals.
-_SIDES = ("bottom", "right", "top", "left")
+#: The sides of a rectangle as its counter-clockwise edges from (0, 0), with
+#: their outward normals.
+SIDES = ("bottom", "right", "top", "left")
 _SIDE_NORMALS = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
+#: At a corner between two sides of the same kind the vertical side's
+#: condition holds: the order in which the sides claim their nodes.
+CORNER_ORDER = SIDES[1::2] + SIDES[0::2]
+
+
+def lattice_sides(nx: int, ny: int):
+    """Indices ``ix, iy`` of the ``nx * ny`` lattice nodes numbered
+    ``ix * ny + iy``, and their node-side incidence, one column per side of
+    :data:`SIDES`."""
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    return ix, iy, np.column_stack([iy == 0, ix == nx - 1, iy == ny - 1, ix == 0])
 
 
 def _edge_kinds(kinds: Sequence[str | NodeKind], names: Sequence[str]) -> np.ndarray:
@@ -348,9 +359,8 @@ def generate_cartesian_cloud(
         raise CloudError("extents must be integer multiples of the spacings")
     nx, ny = int(round(nx)) + 1, int(round(ny)) + 1
 
-    edge_kinds = _edge_kinds([boundary_kinds[side] for side in _SIDES], [f"side {side}" for side in _SIDES])
-    ix, iy = np.divmod(np.arange(nx * ny), ny)
-    incidence = np.column_stack([iy == 0, ix == nx - 1, iy == ny - 1, ix == 0])
+    edge_kinds = _edge_kinds([boundary_kinds[side] for side in SIDES], [f"side {side}" for side in SIDES])
+    ix, iy, incidence = lattice_sides(nx, ny)
     kinds, normals = _classify_nodes(incidence, edge_kinds, _SIDE_NORMALS)
     x1, y1 = float(x_extent), float(y_extent)
     return NodeCloud(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
 
+from .cloud import SIDES
 from .errors import ConfigError
 from .solver import TimeControl
 
@@ -26,10 +27,13 @@ __all__ = ["SegmentBC", "ScenarioConfig", "parse_config", "load_config", "serial
 
 @dataclass(frozen=True)
 class SegmentBC:
-    """Boundary condition of one rectangle side or polygon edge.
+    """Boundary condition of one rectangle side or polygon edge, for p and Sw.
 
-    ``kind`` is ``dirichlet`` (with values), ``noflow``, or ``robin`` (with
-    explicit a/b/g triples per variable).
+    ``kind`` is ``dirichlet``, holding the values ``p_value`` and
+    ``sw_value``, or ``robin``, holding one ``(a, b, g)`` triple per variable
+    for ``a*u + b*du/dn = g`` (named a/b/g to keep clear of the flux unit
+    constant).  No-flow is the robin triple ``(0, 1, 0)``.  Both solvers
+    build their boundary rows straight from it.
     """
 
     kind: str
@@ -44,7 +48,7 @@ class SegmentBC:
 
     @classmethod
     def noflow(cls) -> "SegmentBC":
-        return cls("noflow")
+        return cls("robin", p_robin=(0.0, 1.0, 0.0), sw_robin=(0.0, 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -222,15 +226,12 @@ _SCHEMA = (
 )
 _SECTION_KEYS = {s: {k for s2, k, *_ in _SCHEMA if s2 == s} for s, *_ in _SCHEMA}
 _BOUNDARY_KEYS = {"kind", "pressure", "water_saturation"}
-# A rectangle is the polygon (0, 0), (w, 0), (w, h), (0, h): its sides are
-# its edges in this counter-clockwise order.
-_SIDE_NAMES = ("bottom", "right", "top", "left")
 
 
 def _missing_sides(config: ScenarioConfig) -> list[str]:
     return [
         f"[boundary.{side}] missing (rectangle sides must all be specified)"
-        for side in _SIDE_NAMES
+        for side in SIDES
         if side not in config.boundaries
     ]
 
@@ -239,8 +240,9 @@ def _boundary_edges(config: ScenarioConfig) -> list[tuple[str, tuple[float, floa
     """The configured boundary, one ``(name, start, end, SegmentBC)`` row per
     edge in counter-clockwise order.
 
-    A rectangle's edges are its sides, named as in ``_SIDE_NAMES``; a missing
-    side is a :class:`ConfigError`.  Polygon edge K runs from vertex K to
+    A rectangle is the polygon (0, 0), (w, 0), (w, h), (0, h): its edges are
+    its sides, named as in :data:`~gfdmflow.cloud.SIDES`; a missing side is a
+    :class:`ConfigError`.  Polygon edge K runs from vertex K to
     vertex K+1, is named ``edgeK`` and is no-flow unless configured.
     """
     if config.domain_shape == "rectangle":
@@ -248,7 +250,7 @@ def _boundary_edges(config: ScenarioConfig) -> list[tuple[str, tuple[float, floa
         if missing:
             raise ConfigError(missing)
         w, h = config.width, config.height
-        vertices, names = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)), _SIDE_NAMES
+        vertices, names = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)), SIDES
     else:
         vertices = config.vertices
         names = [f"edge{k}" for k in range(len(vertices))]
@@ -392,7 +394,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
 
     if config.domain_shape == "rectangle":
         for name in config.boundaries:
-            if name not in _SIDE_NAMES:
+            if name not in SIDES:
                 problems.append(f"[boundary.{name}] rectangle boundaries must be named left, right, top or bottom")
         # boundary completeness (CSV clouds already carry node kinds; runs on
         # them still need every side, checked when the boundary table is built)
@@ -413,6 +415,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                     f"[boundary.{name}] references edge {edge} of a "
                     f"{len(config.vertices)}-edge polygon"
                 )
+    for name, bc in config.boundaries.items():
+        if bc.kind == "robin":
+            for key, (a, b, _) in (("pressure", bc.p_robin), ("water_saturation", bc.sw_robin)):
+                if a == 0 and b == 0:
+                    problems.append(f"[boundary.{name}] {key}: robin a = b = 0 constrains nothing")
 
     if not (0 < config.dt_init <= config.dt_max):
         problems.append("[time] need 0 < dt_init <= dt_max")

@@ -16,7 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import AffineRow, BoundarySpec, DirichletBC, PairFluxSystem, RobinBC
+from .assembly import AffineRow, PairFluxSystem, robin_triples
+from .cloud import CORNER_ORDER, SIDES, lattice_sides
+from .config import SegmentBC
 from .errors import SetupError
 from .physics import ReservoirModel, SimState
 from .solver import TimeControl, simulate
@@ -53,56 +55,37 @@ class FdmGrid:
         return np.column_stack([self.x0 + ix * self.dx, self.y0 + iy * self.dy])
 
 
-#: Sides that ``side_specs`` must cover; closed sides simply omit fluxes.
-_SIDES = ("left", "right", "top", "bottom")
-
-
-def _is_closed(bc) -> bool:
-    return isinstance(bc, RobinBC) and bc.a == 0.0 and bc.g == 0.0
-
-
 class FdmSystem(PairFluxSystem):
-    """Implicit five-point system; ``side_specs`` maps each side to a
-    :class:`BoundarySpec`.
+    """Implicit five-point system; ``side_specs`` maps each rectangle side to
+    its :class:`~gfdmflow.config.SegmentBC`.
 
-    A side whose p and Sw specs are both :class:`DirichletBC` holds those
-    values; a side whose specs are both :class:`RobinBC` with ``a == 0`` and
-    ``g == 0`` is closed (zero normal derivative).  Any other spec raises
-    :class:`SetupError` naming the side.  Corners on two Dirichlet sides take
-    the left/right value (vertical sides win, mirroring the cloud generator's
-    priority rule).
+    A Dirichlet side holds its values.  A robin side with ``a == 0`` and
+    ``g == 0`` for both variables is closed (zero normal derivative): its
+    nodes keep flow rows and simply miss the flux across the side.  Any other
+    condition raises :class:`SetupError` naming the side.  A corner on two
+    Dirichlet sides takes the vertical side's values
+    (:data:`~gfdmflow.cloud.CORNER_ORDER`), as on the node clouds.
     """
 
-    def __init__(self, grid: FdmGrid, model: ReservoirModel, side_specs: Mapping[str, BoundarySpec]):
-        for side in _SIDES:
-            if side not in side_specs:
-                raise SetupError(f"missing boundary spec for side {side}")
-
+    def __init__(self, grid: FdmGrid, model: ReservoirModel, side_specs: Mapping[str, SegmentBC]):
         nx, ny = grid.nx, grid.ny
-        dirichlet = np.zeros(grid.n_nodes, dtype=bool)
-        dirichlet_vals: dict[int, tuple[float, float]] = {}
-
-        def mark(ids, side):
-            spec = side_specs[side]
-            if _is_closed(spec.p) and _is_closed(spec.sw):
-                return
-            if not (isinstance(spec.p, DirichletBC) and isinstance(spec.sw, DirichletBC)):
+        _, _, incidence = lattice_sides(nx, ny)
+        values = []  # (p, Sw) of each Dirichlet side
+        held = np.full(grid.n_nodes, -1)  # the entry of values a node holds
+        for side in CORNER_ORDER:
+            bc = side_specs.get(side)
+            if bc is None:
+                raise SetupError(f"missing boundary spec for side {side}")
+            if bc.kind == "dirichlet":
+                held[incidence[:, SIDES.index(side)] & (held < 0)] = len(values)
+                values.append((bc.p_value, bc.sw_value))
+            elif any(a != 0.0 or g != 0.0 for a, _, g in robin_triples(bc)):
                 raise SetupError(
                     f"side {side}: the five-point reference supports Dirichlet or closed "
-                    f"(robin a = g = 0) sides only, not {spec}"
+                    f"(robin a = g = 0) sides only, not {bc}"
                 )
-            for i in np.asarray(ids).ravel():
-                dirichlet[i] = True
-                dirichlet_vals[int(i)] = (float(spec.p.value), float(spec.sw.value))
 
-        # horizontal sides first so vertical (left/right) values win corners
-        mark(grid.index(np.arange(nx), 0), "bottom")
-        mark(grid.index(np.arange(nx), ny - 1), "top")
-        mark(grid.index(0, np.arange(ny)), "left")
-        mark(grid.index(nx - 1, np.arange(ny)), "right")
-
-        flow_ids = np.flatnonzero(~dirichlet)
-
+        flow_ids = np.flatnonzero(held < 0)
         pi, pj, coef = [], [], []
         ix, iy = np.divmod(flow_ids, ny)
         for dix, diy, c in ((1, 0, 1.0 / grid.dx**2), (-1, 0, 1.0 / grid.dx**2),
@@ -114,9 +97,9 @@ class FdmSystem(PairFluxSystem):
             coef.append(np.full(int(ok.sum()), c))
 
         const_rows = [
-            AffineRow(2 * i + k, 1.0, 2 * i + k, value)
-            for i in np.flatnonzero(dirichlet)
-            for k, value in enumerate(dirichlet_vals[int(i)])
+            AffineRow(2 * i + k, 1.0, 2 * i + k, g)
+            for i in np.flatnonzero(held >= 0)
+            for k, g in enumerate(values[held[i]])
         ]
         super().__init__(
             model, grid.n_nodes, flow_ids, np.concatenate(pi), np.concatenate(pj), np.concatenate(coef), const_rows
@@ -126,7 +109,7 @@ class FdmSystem(PairFluxSystem):
 def run_fdm(
     model: ReservoirModel,
     grid: FdmGrid,
-    side_specs: Mapping[str, BoundarySpec],
+    side_specs: Mapping[str, SegmentBC],
     tc: TimeControl,
     p_init: float,
     sw_init: float,
@@ -134,8 +117,8 @@ def run_fdm(
 ):
     """March the reference solver; returns ``({time: SimState}, report)``.
 
-    ``side_specs`` maps each side to a :class:`BoundarySpec`, as
-    :class:`FdmSystem` takes it.
+    ``side_specs`` maps each rectangle side to its
+    :class:`~gfdmflow.config.SegmentBC`, as :class:`FdmSystem` takes it.
     """
     system = FdmSystem(grid, model, side_specs)
     x0 = SimState(np.full(grid.n_nodes, p_init), np.full(grid.n_nodes, sw_init)).to_vector()

@@ -6,8 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import BoundarySpec, DirichletBC, ImplicitSystem, RobinBC
+from .assembly import ImplicitSystem
 from .cloud import (
+    CORNER_ORDER,
     NodeCloud,
     NodeKind,
     add_virtual_nodes,
@@ -67,23 +68,18 @@ def build_model(config: ScenarioConfig, n_nodes: int) -> ReservoirModel:
     )
 
 
-def _segment_to_spec(bc: SegmentBC) -> BoundarySpec:
-    if bc.kind == "dirichlet":
-        return BoundarySpec(DirichletBC(bc.p_value), DirichletBC(bc.sw_value))
-    if bc.kind == "noflow":
-        return BoundarySpec(RobinBC.noflow(), RobinBC.noflow())
-    return BoundarySpec(RobinBC(*bc.p_robin), RobinBC(*bc.sw_robin))
-
-
-def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int, BoundarySpec]:
-    """Map each boundary node to the condition of an edge it lies on.
+def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int, SegmentBC]:
+    """Map each Dirichlet and Robin node to the :class:`SegmentBC` of an edge
+    it lies on, as :class:`~gfdmflow.assembly.ImplicitSystem` takes it.
 
     The edge's kind must match the node's own kind, which the generators
     resolved with the Dirichlet-wins rule.  At a corner between two edges of
-    that kind, a rectangle's vertical side (left or right) wins, as in
-    :class:`~gfdmflow.fdm.FdmSystem`; polygon edges go in index order.
+    that kind, a rectangle's sides go in :data:`~gfdmflow.cloud.CORNER_ORDER`
+    (the vertical side wins), as in :class:`~gfdmflow.fdm.FdmSystem`; polygon
+    edges go in index order.
     """
-    edges = sorted(_boundary_edges(config), key=lambda edge: edge[0] not in ("left", "right"))
+    rank = {side: k for k, side in enumerate(CORNER_ORDER)}
+    edges = sorted(_boundary_edges(config), key=lambda edge: rank.get(edge[0], 0))
     tol = 1e-6 * cloud.h
     ids = np.flatnonzero((cloud.kinds == NodeKind.DIRICHLET) | (cloud.kinds == NodeKind.ROBIN))
     x, y = cloud.positions[ids, 0], cloud.positions[ids, 1]
@@ -94,8 +90,8 @@ def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int,
     if np.any(chosen < 0):
         k = int(np.argmax(chosen < 0))
         raise SetupError(f"boundary node {int(ids[k])} at ({x[k]}, {y[k]}) matches no boundary segment")
-    specs = [_segment_to_spec(bc) for *_, bc in edges]
-    return {int(i): specs[e] for i, e in zip(ids, chosen)}
+    bcs = [bc for *_, bc in edges]
+    return {int(i): bcs[e] for i, e in zip(ids, chosen)}
 
 
 @dataclass
@@ -128,9 +124,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     return ScenarioRun(cloud, states, report)
 
 
-def fdm_side_specs(config: ScenarioConfig) -> dict[str, BoundarySpec]:
+def fdm_side_specs(config: ScenarioConfig) -> dict[str, SegmentBC]:
     """Each rectangle side's condition, as :class:`~gfdmflow.fdm.FdmSystem` takes it."""
-    return {name: _segment_to_spec(bc) for name, _, _, bc in _boundary_edges(config)}
+    return {name: bc for name, _, _, bc in _boundary_edges(config)}
 
 
 def run_fdm_scenario(

@@ -49,19 +49,19 @@ def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
             res[2 * i + 1] = flux_w + model.q_w[i] - (phi_new * sw[i] - phi_old * sw_old[i]) / dt
         elif kind == NodeKind.DIRICHLET:
             spec = specs[i]
-            res[2 * i] = p[i] - spec.p.value
-            res[2 * i + 1] = sw[i] - spec.sw.value
+            res[2 * i] = p[i] - spec.p_value
+            res[2 * i + 1] = sw[i] - spec.sw_value
         elif kind == NodeKind.VIRTUAL:
             host = int(cloud.hosts[i])
             spec = specs[host]
             stencil = ops.stencil(host)
             rows = ops.node_rows(host)
             nx, ny = cloud.normals[host]
-            for offset, bc, u in ((0, spec.p, p), (1, spec.sw, sw)):
+            for offset, (a, b, g), u in ((0, spec.p_robin, p), (1, spec.sw_robin, sw)):
                 deriv = 0.0
                 for k, j in enumerate(stencil.neighbors):
                     deriv += (nx * rows[0, k] + ny * rows[1, k]) * (u[int(j)] - u[host])
-                res[2 * i + offset] = bc.a * u[host] + bc.b * deriv - bc.g
+                res[2 * i + offset] = a * u[host] + b * deriv - g
     return res
 
 

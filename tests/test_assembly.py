@@ -3,14 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from gfdmflow import (
-    BoundarySpec,
-    DirichletBC,
     FdmGrid,
     FdmSystem,
     ImplicitSystem,
     NodeKind,
     ReservoirModel,
-    RobinBC,
+    SegmentBC,
     SetupError,
     SimState,
     add_virtual_nodes,
@@ -35,11 +33,9 @@ def waterflood_setup(width=16.0, height=8.0, dx=4.0, mult=1.001):
     specs = {}
     for i in cloud.ids_of_kind(NodeKind.DIRICHLET):
         inflow = cloud.positions[i, 0] == 0.0
-        specs[int(i)] = BoundarySpec(
-            DirichletBC(15.0 if inflow else 10.0), DirichletBC(0.8 if inflow else 0.2)
-        )
+        specs[int(i)] = SegmentBC.dirichlet(15.0 if inflow else 10.0, 0.8 if inflow else 0.2)
     for i in cloud.ids_of_kind(NodeKind.ROBIN):
-        specs[int(i)] = BoundarySpec(RobinBC.noflow(), RobinBC.noflow())
+        specs[int(i)] = SegmentBC.noflow()
     return cloud, ops, model, specs
 
 
@@ -65,7 +61,7 @@ class TestRowStructure:
         cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in SIDES})
         model = ReservoirModel.uniform(len(cloud))
         specs = {
-            int(i): BoundarySpec(DirichletBC(12.0), DirichletBC(0.5))
+            int(i): SegmentBC.dirichlet(12.0, 0.5)
             for i in cloud.ids_of_kind(NodeKind.DIRICHLET)
         }
         ops = build_operators(cloud, 2.0)  # no flow nodes: nothing to build
@@ -94,9 +90,9 @@ class TestRowStructure:
         ops = build_operators(cloud, 9.0)
         specs = {}
         for i in cloud.ids_of_kind(NodeKind.DIRICHLET):
-            specs[int(i)] = BoundarySpec(DirichletBC(10.0), DirichletBC(0.2))
+            specs[int(i)] = SegmentBC.dirichlet(10.0, 0.2)
         for i in cloud.ids_of_kind(NodeKind.ROBIN):
-            specs[int(i)] = BoundarySpec(RobinBC.noflow(), RobinBC.noflow())
+            specs[int(i)] = SegmentBC.noflow()
         with pytest.raises(SetupError, match="radius too small|outside the stencil"):
             ImplicitSystem(cloud, ops, model, specs)
 
@@ -107,8 +103,8 @@ class TestResidualValues:
         state = uniform_state(cloud, p=10.0, sw=0.2)
         # boundary rows vanish only when the prescribed values match
         eq_specs = {
-            i: BoundarySpec(DirichletBC(10.0), DirichletBC(0.2))
-            if isinstance(s.p, DirichletBC)
+            i: SegmentBC.dirichlet(10.0, 0.2)
+            if s.kind == "dirichlet"
             else s
             for i, s in specs.items()
         }
@@ -150,8 +146,8 @@ class TestResidualValues:
         dt = 0.25
 
         specs = {
-            0: BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)),
-            2: BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+            0: SegmentBC.dirichlet(15.0, 0.8),
+            2: SegmentBC.dirichlet(10.0, 0.2),
         }
         r_oil, r_water = residual(state_new, state_old, dt, cloud, ops, model, specs)[2:4]
 
@@ -178,7 +174,7 @@ class TestResidualValues:
         cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in SIDES})
         model = ReservoirModel.uniform(len(cloud))
         ops = build_operators(cloud, 2.0)
-        specs = {i: BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)) for i in range(len(cloud))}
+        specs = {i: SegmentBC.dirichlet(15.0, 0.8) for i in range(len(cloud))}
         state = SimState(np.array([15.0, 10.0, 10.0, 10.0]), np.array([0.8, 0.2, 0.2, 0.2]))
         r = residual(state, state, 1.0, cloud, ops, model, specs)
         assert r[0] == 0.0  # p at node 0
@@ -213,7 +209,7 @@ class TestRobinRows:
 
     def test_value_form_reduces_to_dirichlet(self):
         cloud, ops, model, specs, robin, virtual = self.setup_robin()
-        specs[robin] = BoundarySpec(RobinBC(1.0, 0.0, 5.0), RobinBC.noflow())
+        specs[robin] = SegmentBC("robin", p_robin=(1.0, 0.0, 5.0), sw_robin=(0.0, 1.0, 0.0))
         state = uniform_state(cloud)
         state.p[robin] = 7.0
         r = self.p_row(state, cloud, ops, model, specs, virtual)

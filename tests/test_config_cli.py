@@ -302,9 +302,11 @@ class TestRunCommand:
              "[boundary.middle] rectangle boundaries must be named left, right, top or bottom")
             for cloud_type in ("cartesian", "irregular", "csv\npath = cloud.csv")
         ),
+        (SMALL, "kind = noflow", "kind = robin\npressure = 0 0 1\nwater_saturation = 0 1 0",
+         "[boundary.top] pressure: robin a = b = 0 constrains nothing"),
     ],
     ids=["nan", "inf", "negative-seed", "no-newton-iterations",
-         "rectangle-middle-cartesian", "rectangle-middle-irregular", "rectangle-middle-csv"],
+         "rectangle-middle-cartesian", "rectangle-middle-irregular", "rectangle-middle-csv", "robin-vacuous"],
 )
 def test_bad_values_end_in_config_error(tmp_path, monkeypatch, base, old, new, problem):
     text = base.replace(old, new, 1)
@@ -315,6 +317,24 @@ def test_bad_values_end_in_config_error(tmp_path, monkeypatch, base, old, new, p
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "{layouts}"], 2),
+        (["run", "{layouts}", "--solver", "fdm"], 2),
+        (["convergence", "{layouts}", "--spacings", "4"], 2),
+        (["diagnose", "{tiny}", "--nodes", "abc"], 3),
+    ],
+    ids=["run-gfdm", "run-fdm", "convergence", "diagnose"],
+)
+def test_failed_setup_leaves_no_output_directory(tiny_config_path, tmp_path, monkeypatch, argv, code):
+    out = tmp_path / "fresh"
+    monkeypatch.setenv("GFDMFLOW_OUTDIR", str(out))
+    paths = {"layouts": CONFIGS / "diagnose_layouts.cfg", "tiny": tiny_config_path}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -432,6 +452,15 @@ class TestConvergenceDriver:
         assert table[0] == "h,re_p_gfdm,re_sw_gfdm,re_p_fdm,re_sw_fdm"
         assert len(table) == 3
         assert "slopes gfdm/sw" in capsys.readouterr().out
+
+    def test_cli_convergence_partial_results_create_directory(self, tiny_config_path, tmp_path, monkeypatch):
+        out = tmp_path / "fresh"
+        monkeypatch.setenv("GFDMFLOW_OUTDIR", str(out))
+        # 3 m does not divide the 40 m width: the second member run fails
+        argv = ["convergence", str(tiny_config_path), "--spacings", "8", "3", "--ref-dx", "1.0", "--ref-dt-max", "0.5"]
+        assert main(argv) == 3
+        table = (out / "tiny_convergence.csv").read_text().strip().splitlines()
+        assert len(table) == 2
 
 
 def test_console_entry_point():

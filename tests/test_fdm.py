@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from gfdmflow import (
-    BoundarySpec,
-    DirichletBC,
     FdmGrid,
     FdmSystem,
     NodeKind,
     ReservoirModel,
-    RobinBC,
     SegmentBC,
     SetupError,
     TimeControl,
@@ -26,11 +23,11 @@ from gfdmflow.pipeline import assign_boundary_specs, build_cloud, build_model, f
 
 from conftest import waterflood_config
 
-CLOSED = BoundarySpec(RobinBC.noflow(), RobinBC.noflow())
+CLOSED = SegmentBC.noflow()
 
 SIDES = {
-    "left": BoundarySpec(DirichletBC(15.0), DirichletBC(0.8)),
-    "right": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+    "left": SegmentBC.dirichlet(15.0, 0.8),
+    "right": SegmentBC.dirichlet(10.0, 0.2),
     "top": CLOSED,
     "bottom": CLOSED,
 }
@@ -56,8 +53,8 @@ class TestRunFdm:
         grid = FdmGrid(nx=5, ny=3, dx=4.0, dy=4.0)
         model = ReservoirModel.uniform(grid.n_nodes)
         sides = {
-            "left": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
-            "right": BoundarySpec(DirichletBC(10.0), DirichletBC(0.2)),
+            "left": SegmentBC.dirichlet(10.0, 0.2),
+            "right": SegmentBC.dirichlet(10.0, 0.2),
             "top": CLOSED,
             "bottom": CLOSED,
         }
@@ -146,7 +143,7 @@ class TestCornerRule:
             grid = FdmGrid(nx=11, ny=5, dx=4.0, dy=4.0)
             system = FdmSystem(grid, build_model(config, grid.n_nodes), fdm_side_specs(config))
             held = [system.row_g[system.row == 2 * grid.index(0, 0) + k][0] for k in (0, 1)]
-            assert held == [spec.p.value, spec.sw.value] == [20.0, 0.8]
+            assert held == [spec.p_value, spec.sw_value] == [20.0, 0.8]
 
 
 class TestDegeneracyCrossCheck:

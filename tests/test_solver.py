@@ -4,13 +4,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gfdmflow import (
-    BoundarySpec,
-    DirichletBC,
     ImplicitSystem,
     LinearSolveError,
     NodeKind,
     ReservoirModel,
-    RobinBC,
+    SegmentBC,
     SimState,
     TimeControl,
     TimeStepCollapseError,
@@ -59,14 +57,14 @@ class TestJacobian:
                 expected[row] = 1.0
                 assert np.array_equal(dense[row], expected)
 
-    @pytest.mark.parametrize("host_p", [None, RobinBC(1.0, 2.0, 3.0)], ids=["noflow", "robin-a-nonzero"])
+    @pytest.mark.parametrize("host_p", [None, (1.0, 2.0, 3.0)], ids=["noflow", "robin-a-nonzero"])
     def test_matches_central_differences(self, host_p):
         system, cloud = small_system()
         if host_p is not None:
             # the virtual row of this host has a != 0, so its host entry is a - sum(c)
             host = int(cloud.ids_of_kind(NodeKind.ROBIN)[0])
             specs = dict(system.specs)
-            specs[host] = BoundarySpec(host_p, specs[host].sw)
+            specs[host] = SegmentBC("robin", p_robin=host_p, sw_robin=specs[host].sw_robin)
             system = ImplicitSystem(cloud, system.ops, system.model, specs)
         rng = np.random.default_rng(2)
         # keep pressures well separated so no upwind switch sits inside the
@@ -156,8 +154,8 @@ class TestNewtonStep:
         tc = TimeControl(dt_init=0.5, dt_max=0.5, t_end=1.0)
         # equilibrium with matching boundary values
         eq_specs = {
-            i: BoundarySpec(DirichletBC(10.0), DirichletBC(0.2))
-            if isinstance(s.p, DirichletBC)
+            i: SegmentBC.dirichlet(10.0, 0.2)
+            if s.kind == "dirichlet"
             else s
             for i, s in system.specs.items()
         }
@@ -174,12 +172,12 @@ class TestNewtonStep:
         assert norm <= 1e-12
 
     def test_pure_dirichlet_single_iteration(self):
-        from gfdmflow import BoundarySpec, DirichletBC, build_operators, generate_cartesian_cloud
+        from gfdmflow import SegmentBC, build_operators, generate_cartesian_cloud
 
         cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in SIDES})
         model = ReservoirModel.uniform(len(cloud))
         specs = {
-            int(i): BoundarySpec(DirichletBC(12.0), DirichletBC(0.5))
+            int(i): SegmentBC.dirichlet(12.0, 0.5)
             for i in cloud.ids_of_kind(NodeKind.DIRICHLET)
         }
         system = ImplicitSystem(cloud, build_operators(cloud, 2.0), model, specs)
