@@ -40,7 +40,7 @@ from .physics import (
     krw,
     pair_transmissibility_parts,
     porosity,
-    upwind_mobilities,
+    upwind_nodes,
 )
 from .pipeline import run_fdm_scenario, run_scenario
 from .postproc import extract_profile, front_positions, front_width, interpolate_to_lattice

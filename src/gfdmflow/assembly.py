@@ -10,10 +10,13 @@ nodes, virtual nodes included.  Every node contributes exactly two rows:
 for ``2 (n1 + n2 + n3 + n3)`` equations in total.  The virtual and Dirichlet
 rows are constant: each is one affine row of a single table (see
 :class:`AffineRow`), which gives both its residual and its Jacobian entries.
-The flow rows' Jacobian is exact, obtained by running the residual kernels
-on vectorized dual numbers seeded on the locally relevant unknowns (upwind
-branches are frozen at the current iterate's pressures within each
-evaluation).
+The flow rows' Jacobian is exact.  The relative permeabilities are
+evaluated once per node on dual numbers seeded in Sw, and each pair takes
+them at its upwind node, chosen from the current iterate's pressures; the
+pair fluxes' tangents then follow by the product rule, and the
+accumulation terms run on duals seeded in the node's p and Sw.  Both
+evaluation paths do the same floating-point arithmetic, so
+``residual_and_jacobian`` returns the residual of ``residual`` bit for bit.
 
 The sparsity pattern is frozen at construction.  The first Jacobian
 evaluation compiles its CSC layout: the sorted row indices per column and
@@ -34,7 +37,7 @@ from .cloud import NodeCloud, NodeKind
 from .config import SegmentBC
 from .errors import SetupError
 from .operators import DiffOperators
-from .physics import ReservoirModel, pair_transmissibility_parts, porosity, upwind_mobilities
+from .physics import UNIT_ALPHA, ReservoirModel, kro, krw, pair_transmissibility_parts, porosity, upwind_nodes
 
 __all__ = ["ImplicitSystem"]
 
@@ -83,7 +86,7 @@ class PairFluxSystem:
         self.pair_i = np.asarray(pair_i, dtype=np.int64)
         self.pair_j = np.asarray(pair_j, dtype=np.int64)
         k_h, self.pair_mu_o, self.pair_mu_w = pair_transmissibility_parts(self.pair_i, self.pair_j, model)
-        self.pair_coef = model.unit_alpha * k_h * np.asarray(geometric_coef, dtype=float)
+        self.pair_coef = UNIT_ALPHA * k_h * np.asarray(geometric_coef, dtype=float)
 
         self.row = np.array([r.row for r in const_rows], dtype=np.int64)
         self.row_ref = np.array([r.ref for r in const_rows], dtype=np.int64)
@@ -137,21 +140,30 @@ class PairFluxSystem:
     # -- evaluation -------------------------------------------------------------
 
     def _pair_fluxes(self, p, sw, with_jac: bool):
+        """Oil and water flux of every pair and, with ``with_jac``, their
+        Jacobian entries as an ``(m, 8)`` array in :meth:`_pattern` order.
+
+        The relative permeabilities are evaluated once per node, on duals
+        seeded in Sw; each pair takes them at its upwind node.  Given the
+        mobility ``lam`` and ``dlam/dSw`` there, the flux ``lam*dp*c`` has
+        the tangents ``-lam*c`` and ``lam*c`` in the p columns, and
+        ``dlam/dSw*dp*c`` in the upwind node's Sw column.
+        """
         pi, pj = self.pair_i, self.pair_j
-        if with_jac:
-            p_i = dual.seed(p[pi], 0, 4)
-            p_j = dual.seed(p[pj], 1, 4)
-            sw_i = dual.seed(sw[pi], 2, 4)
-            sw_j = dual.seed(sw[pj], 3, 4)
-        else:
-            p_i, p_j, sw_i, sw_j = p[pi], p[pj], sw[pi], sw[pj]
-        lam_o, lam_w = upwind_mobilities(
-            p_i, p_j, sw_i, sw_j, self.model, self.pair_mu_o, self.pair_mu_w
-        )
-        dp = p_j - p_i
-        f_o = lam_o * dp * self.pair_coef
-        f_w = lam_w * dp * self.pair_coef
-        return f_o, f_w
+        up = upwind_nodes(p, pi, pj)
+        dp = p[pj] - p[pi]
+        sw = dual.seed(sw, 0, 1) if with_jac else sw
+        fluxes = []
+        tan = np.zeros((len(pi), 8)) if with_jac else None
+        for k, (kr, mu) in enumerate(((kro(sw, self.model), self.pair_mu_o), (krw(sw, self.model), self.pair_mu_w))):
+            lam = dual.value(kr)[up] / mu
+            fluxes.append(lam * dp * self.pair_coef)
+            if with_jac:
+                lam_c = lam * self.pair_coef
+                tan[:, 4 * k] = -lam_c
+                tan[:, 4 * k + 1] = lam_c
+                tan[np.arange(len(pi)), 4 * k + 2 + (up == pj)] = kr.tan[up, 0] / mu * dp * self.pair_coef
+        return fluxes, tan
 
     def _accumulations(self, p, sw, p_old, sw_old, dt, with_jac: bool):
         f = self.flow_ids
@@ -169,7 +181,7 @@ class PairFluxSystem:
     def _evaluate(self, x, x_old, dt, with_jac: bool):
         p, sw = x[0::2], x[1::2]
         p_old, sw_old = x_old[0::2], x_old[1::2]
-        f_o, f_w = self._pair_fluxes(p, sw, with_jac)
+        (f_o, f_w), pair_tan = self._pair_fluxes(p, sw, with_jac)
         acc_o, acc_w = self._accumulations(p, sw, p_old, sw_old, dt, with_jac)
 
         residual = np.zeros(self.n_unknowns)
@@ -177,17 +189,16 @@ class PairFluxSystem:
         diffs = self.term_coef * (x[self.term_col] - x[self.term_ref])
         residual += np.bincount(self.term_row, weights=diffs, minlength=self.n_unknowns)
         n = self.n_nodes
-        residual[0::2] += np.bincount(self.pair_i, weights=dual.value(f_o), minlength=n)
-        residual[1::2] += np.bincount(self.pair_i, weights=dual.value(f_w), minlength=n)
+        residual[0::2] += np.bincount(self.pair_i, weights=f_o, minlength=n)
+        residual[1::2] += np.bincount(self.pair_i, weights=f_w, minlength=n)
         f = self.flow_ids
         residual[2 * f] += self.model.q_o[f] - dual.value(acc_o)
         residual[2 * f + 1] += self.model.q_w[f] - dual.value(acc_w)
 
         if not with_jac:
             return residual, None
-        pair_data = np.column_stack([f_o.tan, f_w.tan]).ravel()
         acc_data = np.column_stack([-acc_o.tan, -acc_w.tan]).ravel()
-        return residual, self._scatter(np.concatenate([pair_data, acc_data, self.term_coef, self.ref_coef]))
+        return residual, self._scatter(np.concatenate([pair_tan.ravel(), acc_data, self.term_coef, self.ref_coef]))
 
     def _scatter(self, data):
         """CSC matrix of the contributions ``data``, laid out as :meth:`_pattern`."""

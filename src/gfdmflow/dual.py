@@ -4,15 +4,16 @@ A :class:`Dual` carries an array of values together with tangents with
 respect to a small, fixed set of seed directions.  Residual kernels written
 against plain ``+ - * /`` arithmetic run unchanged on floats, numpy arrays,
 or duals; running them on duals yields the exact local Jacobian entries of
-the kernel, including through piecewise definitions (branch selection is
-made on values, and the tangent of the selected branch is kept).
+the kernel, including through the clamp of :func:`clip`.  A dual's value is
+computed by the same floating-point operations as the plain run (division
+divides), so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dual", "seed", "value", "where", "clip"]
+__all__ = ["Dual", "seed", "value", "clip"]
 
 
 class Dual:
@@ -65,17 +66,14 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            inv = 1.0 / other.val
-            val = self.val * inv
-            tan = (self.tan - other.tan * val[..., None]) * inv[..., None]
-            return Dual(val, tan)
-        inv = 1.0 / np.asarray(other, dtype=float)
-        return Dual(self.val * inv, self.tan * inv[..., None])
+            val = self.val / other.val
+            return Dual(val, (self.tan - other.tan * val[..., None]) / other.val[..., None])
+        other = np.asarray(other, dtype=float)
+        return Dual(self.val / other, self.tan / other[..., None])
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        val = np.asarray(other, dtype=float) * inv
-        return Dual(val, -self.tan * (val * inv)[..., None])
+        val = np.asarray(other, dtype=float) / self.val
+        return Dual(val, -self.tan * (val / self.val)[..., None])
 
     def __neg__(self):
         return Dual(-self.val, -self.tan)
@@ -99,18 +97,6 @@ def seed(values, direction: int, n_dirs: int) -> Dual:
 def value(x):
     """Value part of a dual, or the input unchanged."""
     return x.val if isinstance(x, Dual) else x
-
-
-def where(cond, a, b):
-    """Branch selection that keeps the tangent of the chosen branch."""
-    cond = np.asarray(cond)
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return np.where(cond, a, b)
-    if not isinstance(a, Dual):
-        a = Dual(np.broadcast_to(np.asarray(a, float), b.val.shape), np.zeros_like(b.tan))
-    if not isinstance(b, Dual):
-        b = Dual(np.broadcast_to(np.asarray(b, float), a.val.shape), np.zeros_like(a.tan))
-    return Dual(np.where(cond, a.val, b.val), np.where(cond[..., None], a.tan, b.tan))
 
 
 def clip(x, lo, hi):

@@ -1,7 +1,7 @@
-"""Rock/fluid constitutive relations, pair averaging, upwind mobility selection.
+"""Rock/fluid constitutive relations, pair averaging, upwind node selection.
 
 Units follow the oilfield system used throughout the package: meters, days,
-MPa, mPa*s, millidarcy; ``unit_alpha = 0.0864`` makes the Darcy flux term
+MPa, mPa*s, millidarcy; ``UNIT_ALPHA = 0.0864`` makes the Darcy flux term
 dimensionally consistent in these units.  All functions are pure and accept
 plain floats, numpy arrays, or :class:`~gfdmflow.dual.Dual` values.
 """
@@ -22,7 +22,7 @@ __all__ = [
     "kro",
     "porosity",
     "pair_transmissibility_parts",
-    "upwind_mobilities",
+    "upwind_nodes",
 ]
 
 UNIT_ALPHA = 0.0864
@@ -47,7 +47,6 @@ class ReservoirModel:
     Sor: float
     q_o: np.ndarray
     q_w: np.ndarray
-    unit_alpha: float = UNIT_ALPHA
 
     def __post_init__(self):
         object.__setattr__(self, "permeability", np.asarray(self.permeability, dtype=float))
@@ -112,9 +111,6 @@ class SimState:
     def from_vector(cls, x: np.ndarray, t: float) -> "SimState":
         return cls(p=x[0::2].copy(), sw=x[1::2].copy(), t=t)
 
-    def copy(self) -> "SimState":
-        return SimState(self.p.copy(), self.sw.copy(), self.t)
-
 
 def _normalized_sw(sw, model: ReservoirModel):
     span = 1.0 - model.Sor - model.Swc
@@ -162,16 +158,11 @@ def pair_transmissibility_parts(i, j, model: ReservoirModel):
     return k_ij, mu_o_ij, mu_w_ij
 
 
-def upwind_mobilities(p_i, p_j, sw_i, sw_j, model: ReservoirModel, mu_o_ij, mu_w_ij):
-    """Phase mobilities with first-order upwind relative permeabilities.
+def upwind_nodes(p, pair_i, pair_j):
+    """Upstream node of each directed pair ``pair_i -> pair_j``.
 
     The neighbor ``j`` is upstream when ``p_j >= p_i`` (ties go to the
     neighbor); both phases use the same oil-pressure test because capillary
-    pressure is zero throughout.  ``mu_o_ij`` and ``mu_w_ij`` are the pair
-    viscosities from :func:`pair_transmissibility_parts`.
+    pressure is zero throughout.
     """
-    upstream_j = np.asarray(dual.value(p_j)) >= np.asarray(dual.value(p_i))
-    sw_up = dual.where(upstream_j, sw_j, sw_i)
-    lam_o = kro(sw_up, model) / mu_o_ij
-    lam_w = krw(sw_up, model) / mu_w_ij
-    return lam_o, lam_w
+    return np.where(p[pair_j] >= p[pair_i], pair_j, pair_i)

@@ -121,12 +121,12 @@ def small_config():
 @pytest.fixture
 def freeze_saturation(monkeypatch):
     """Call with a saturation to evaluate both relative permeabilities there
-    for the rest of the test, whatever saturation they are given; the flow
-    system then becomes linear."""
+    for the rest of the test, whatever saturation they are given (in the
+    shape they are given it); the flow system then becomes linear."""
     normalized = physics._normalized_sw
 
     def freeze(sw):
-        monkeypatch.setattr(physics, "_normalized_sw", lambda _sw, model: normalized(sw, model))
+        monkeypatch.setattr(physics, "_normalized_sw", lambda _sw, model: 0.0 * _sw + normalized(sw, model))
 
     return freeze
 

@@ -2,12 +2,13 @@
 
 Everything here is written with plain Python loops and scalar arithmetic,
 deliberately sharing no code with the package's assembly or physics
-modules.
+modules; only the flux constant ``UNIT_ALPHA`` is read from the latter.
 """
 
 import numpy as np
 
 from gfdmflow.cloud import NodeKind
+from gfdmflow.physics import UNIT_ALPHA
 
 
 def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
@@ -39,8 +40,8 @@ def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
                 mu_o = 0.5 * (model.mu_o[i] + model.mu_o[j])
                 mu_w = 0.5 * (model.mu_w[i] + model.mu_w[j])
                 s_up = sw[j] if p[j] >= p[i] else sw[i]
-                flux_o += model.unit_alpha * k_ij * kr_oil(s_up) / mu_o * lap * (p[j] - p[i])
-                flux_w += model.unit_alpha * k_ij * kr_water(s_up) / mu_w * lap * (p[j] - p[i])
+                flux_o += UNIT_ALPHA * k_ij * kr_oil(s_up) / mu_o * lap * (p[j] - p[i])
+                flux_w += UNIT_ALPHA * k_ij * kr_water(s_up) / mu_w * lap * (p[j] - p[i])
             phi_new = model.phi0 + model.Cr * (p[i] - model.p_ref)
             phi_old = model.phi0 + model.Cr * (p_old[i] - model.p_ref)
             res[2 * i] = flux_o + model.q_o[i] - (

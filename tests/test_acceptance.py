@@ -302,18 +302,17 @@ class TestCriterion8PropertySuites:
 
         # oil + water row sum cancels the saturation accumulation
         residual = got
-        from gfdmflow.physics import pair_transmissibility_parts, upwind_mobilities
+        from gfdmflow.physics import UNIT_ALPHA, kro, krw, pair_transmissibility_parts, upwind_nodes
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)):
             stencil = ops.stencil(i)
             lap = ops.laplacian_row(i)
             nbr = stencil.neighbors
             k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), i), nbr, model)
-            lam_o, lam_w = upwind_mobilities(
-                state_new.p[i], state_new.p[nbr], state_new.sw[i], state_new.sw[nbr], model, mu_o, mu_w
-            )
+            sw_up = state_new.sw[upwind_nodes(state_new.p, np.full(len(nbr), i), nbr)]
+            lam_o, lam_w = kro(sw_up, model) / mu_o, krw(sw_up, model) / mu_w
             total = float(
-                np.sum(model.unit_alpha * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
+                np.sum(UNIT_ALPHA * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
             )
             if abs(residual[2 * i] + residual[2 * i + 1] - total) > 1e-12:
                 problems.append("phase-sum identity violated")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,10 +16,14 @@ from gfdmflow import (
     add_virtual_nodes,
     build_operators,
     generate_cartesian_cloud,
+    load_config,
 )
+from gfdmflow.pipeline import assign_boundary_specs, build_cloud, build_model
 
 from oracle import oracle_residual
 from test_fdm import SIDES as FDM_SIDES
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SIDES = {"left": "dirichlet", "right": "dirichlet", "top": "robin", "bottom": "robin"}
 
@@ -263,6 +269,31 @@ class TestStructuralProperties:
             assert np.array_equal(indptr, patterns[0][0])
             assert np.array_equal(indices, patterns[0][1])
 
+    @pytest.mark.parametrize("case", ["r1.001", "r2.001", "polygon", "fdm"])
+    def test_jacobian_path_returns_the_residual(self, case):
+        # residual() and residual_and_jacobian() are one evaluation: the dual
+        # values are computed with the plain run's arithmetic, bit for bit
+        if case == "fdm":
+            grid = FdmGrid(nx=11, ny=5, dx=4.0, dy=4.0)
+            system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), FDM_SIDES)
+        elif case == "polygon":
+            config = load_config(CONFIGS / "waterflood_polygon.cfg").with_overrides(spacing=8.0, radius_absolute=16.0)
+            cloud = build_cloud(config)
+            ops = build_operators(cloud, config.influence_radius())
+            model = build_model(config, len(cloud))
+            system = ImplicitSystem(cloud, ops, model, assign_boundary_specs(cloud, config))
+        else:
+            system = ImplicitSystem(*waterflood_setup(mult=float(case[1:])))
+        n = system.n_nodes
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            x = SimState(rng.uniform(10, 15, n), rng.uniform(0.1, 0.9, n)).to_vector()
+            x_old = SimState(rng.uniform(10, 15, n), rng.uniform(0.1, 0.9, n)).to_vector()
+            dt = rng.uniform(0.1, 3.0)
+            r = system.residual(x, x_old, dt)
+            rj, _ = system.residual_and_jacobian(x, x_old, dt)
+            assert r.tobytes() == rj.tobytes()
+
     def test_oil_water_sum_cancels_accumulation(self):
         # with Cr = 0 and q = 0 the saturation accumulation cancels in the
         # phase sum, leaving the total-mobility pressure operator
@@ -272,18 +303,17 @@ class TestStructuralProperties:
         state_old = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud)))
         dt = 0.3
         r = residual(state_new, state_old, dt, cloud, ops, model, specs)
-        from gfdmflow.physics import pair_transmissibility_parts, upwind_mobilities
+        from gfdmflow.physics import UNIT_ALPHA, kro, krw, pair_transmissibility_parts, upwind_nodes
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)[:20]):
             stencil = ops.stencil(i)
             lap = ops.laplacian_row(i)
             nbr = stencil.neighbors
             k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), i), nbr, model)
-            lam_o, lam_w = upwind_mobilities(
-                state_new.p[i], state_new.p[nbr], state_new.sw[i], state_new.sw[nbr], model, mu_o, mu_w
-            )
+            sw_up = state_new.sw[upwind_nodes(state_new.p, np.full(len(nbr), i), nbr)]
+            lam_o, lam_w = kro(sw_up, model) / mu_o, krw(sw_up, model) / mu_w
             total = float(
-                np.sum(model.unit_alpha * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
+                np.sum(UNIT_ALPHA * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))
             )
             assert r[2 * i] + r[2 * i + 1] == pytest.approx(total, abs=1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfdmflow import ReservoirModel, kro, krw
-from gfdmflow.dual import Dual, clip, seed, value, where
+from gfdmflow.dual import Dual, clip, seed, value
 
 
 def fd_derivative(f, x, eps=1e-7):
@@ -24,14 +24,16 @@ class TestArithmetic:
             lambda v: -v,
             lambda v: v**3,
             lambda v: (v * v + 1.0) / (v + 4.0),
+            lambda v: v / 3.0,
+            lambda v: 3.0 / (v + 3.0),
         ],
     )
     def test_against_finite_differences(self, expr):
-        xs = np.array([0.3, 1.7, -0.4])
+        xs = np.array([0.3, 1.7, -0.4, 2.9])
         d = expr(seed(xs, 0, 1))
         want = fd_derivative(lambda v: expr(v), xs)
         assert np.allclose(d.tan[:, 0], want, rtol=1e-6, atol=1e-8)
-        assert np.allclose(d.val, expr(xs))
+        assert np.array_equal(d.val, expr(xs))
 
     def test_dual_dual_product_rule(self):
         x = seed(np.array([2.0]), 0, 2)
@@ -49,23 +51,6 @@ class TestArithmetic:
 
 
 class TestSelection:
-    def test_where_keeps_branch_tangent(self):
-        x = seed(np.array([1.0, -1.0]), 0, 1)
-        y = x * 3.0
-        z = where(x.val > 0, y, x)
-        assert np.array_equal(z.val, [3.0, -1.0])
-        assert np.array_equal(z.tan[:, 0], [3.0, 1.0])
-
-    def test_where_with_plain_arrays(self):
-        out = where(np.array([True, False]), np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert np.array_equal(out, [1.0, 4.0])
-
-    def test_where_mixed_scalar(self):
-        x = seed(np.array([1.0, 2.0]), 0, 1)
-        z = where(np.array([True, False]), x, 0.0)
-        assert np.array_equal(z.val, [1.0, 0.0])
-        assert np.array_equal(z.tan[:, 0], [1.0, 0.0])
-
     def test_clip_zeroes_bound_tangent(self):
         x = seed(np.array([-0.5, 0.5, 1.5]), 0, 1)
         z = clip(x, 0.0, 1.0)

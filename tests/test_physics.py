@@ -9,7 +9,7 @@ from gfdmflow import (
     krw,
     pair_transmissibility_parts,
     porosity,
-    upwind_mobilities,
+    upwind_nodes,
 )
 
 
@@ -86,18 +86,25 @@ class TestPairAverages:
         assert np.all(harm <= 0.5 * (a + b) + 1e-9)
 
 
+def pair_mobilities(p, sw, model, pair_i=0, pair_j=1):
+    """Upwind oil and water mobilities of the pairs ``pair_i -> pair_j`` over
+    the node arrays ``p`` and ``sw``, at pair viscosities 10 and 2."""
+    sw_up = np.asarray(sw, dtype=float)[upwind_nodes(np.asarray(p, dtype=float), pair_i, pair_j)]
+    return kro(sw_up, model) / 10.0, krw(sw_up, model) / 2.0
+
+
 class TestUpwind:
     def test_higher_pressure_neighbor_upstream(self, model):
-        lam_o, lam_w = upwind_mobilities(10.0, 15.0, 0.2, 0.8, model, 10.0, 2.0)
+        lam_o, lam_w = pair_mobilities([10.0, 15.0], [0.2, 0.8], model)
         assert lam_w == pytest.approx(krw(0.8, model) / 2.0)
         assert lam_o == pytest.approx(0.0)
 
     def test_tie_selects_neighbor(self, model):
-        lam_o, lam_w = upwind_mobilities(12.0, 12.0, 0.2, 0.8, model, 10.0, 2.0)
+        lam_o, lam_w = pair_mobilities([12.0, 12.0], [0.2, 0.8], model)
         assert lam_w == pytest.approx(0.5)  # krw(0.8) / 2
 
     def test_center_upstream(self, model):
-        lam_o, lam_w = upwind_mobilities(15.0, 10.0, 0.8, 0.2, model, 10.0, 2.0)
+        lam_o, lam_w = pair_mobilities([15.0, 10.0], [0.8, 0.2], model)
         assert lam_w == pytest.approx(0.5)
         assert lam_o == pytest.approx(0.0)
 
@@ -106,8 +113,9 @@ class TestUpwind:
         p = rng.uniform(9, 16, size=(200, 2))
         p = p[np.abs(p[:, 0] - p[:, 1]) > 1e-9]
         sw = rng.uniform(0.2, 0.8, size=(len(p), 2))
-        fwd = upwind_mobilities(p[:, 0], p[:, 1], sw[:, 0], sw[:, 1], model, 10.0, 2.0)
-        rev = upwind_mobilities(p[:, 1], p[:, 0], sw[:, 1], sw[:, 0], model, 10.0, 2.0)
+        first, second = 2 * np.arange(len(p)), 2 * np.arange(len(p)) + 1
+        fwd = pair_mobilities(p.ravel(), sw.ravel(), model, first, second)
+        rev = pair_mobilities(p.ravel(), sw.ravel(), model, second, first)
         assert np.allclose(fwd[0], rev[0]) and np.allclose(fwd[1], rev[1])
 
 

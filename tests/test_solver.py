@@ -16,6 +16,8 @@ from gfdmflow import (
     advance,
     build_operators,
     generate_cartesian_cloud,
+    kro,
+    krw,
     newton_step,
     simulate,
 )
@@ -86,6 +88,22 @@ class TestJacobian:
             fd[:, k] = (system.residual(xp, x_old, dt) - system.residual(xm, x_old, dt)) / (2 * eps)
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(dense - fd) / scale) <= 1e-5
+
+    def test_tie_takes_neighbor_mobility(self):
+        # at uniform pressure every pair is a tie, so each flow row's entry in
+        # a neighbor's p column is that neighbor's mobility times the pair
+        # coefficient
+        system, cloud = small_system(mult=2.001)
+        rng = np.random.default_rng(4)
+        sw = rng.uniform(0.25, 0.75, len(cloud))
+        x = SimState(np.full(len(cloud), 12.0), sw).to_vector()
+        _, jac = system.residual_and_jacobian(x, x, 0.5)
+        jac = jac.tocsr()
+        pi, pj, model = system.pair_i, system.pair_j, system.model
+        oil = np.asarray(jac[2 * pi, 2 * pj]).ravel()
+        water = np.asarray(jac[2 * pi + 1, 2 * pj]).ravel()
+        np.testing.assert_allclose(oil, system.pair_coef * kro(sw[pj], model) / system.pair_mu_o, rtol=1e-14)
+        np.testing.assert_allclose(water, system.pair_coef * krw(sw[pj], model) / system.pair_mu_w, rtol=1e-14)
 
     def test_frozen_mobility_pressure_block_constant(self, freeze_saturation):
         freeze_saturation(0.8)
