@@ -150,8 +150,8 @@ class PairFluxSystem:
         ``dlam/dSw*dp*c`` in the upwind node's Sw column.
         """
         pi, pj = self.pair_i, self.pair_j
-        up = upwind_nodes(p, pi, pj)
         dp = p[pj] - p[pi]
+        up = upwind_nodes(dp, pi, pj)
         sw = dual.seed(sw, 0, 1) if with_jac else sw
         fluxes = []
         tan = np.zeros((len(pi), 8)) if with_jac else None
@@ -248,7 +248,7 @@ class ImplicitSystem(PairFluxSystem):
         if missing:
             raise SetupError(f"missing operators for flow nodes {missing[:5]}")
 
-        stencils = [ops.stencil(int(i)) for i in flow_ids]
+        stencils = [ops.stencils[int(i)] for i in flow_ids]
         pair_i = np.repeat(flow_ids, [len(s) for s in stencils])
         pair_j = np.concatenate([np.empty(0, dtype=np.int64)] + [s.neighbors for s in stencils])
         laplacian = np.concatenate([np.empty(0)] + [ops.laplacian_row(int(i)) for i in flow_ids])
@@ -265,7 +265,7 @@ class ImplicitSystem(PairFluxSystem):
             bc = self.specs.get(a_host)
             if bc is None or bc.kind != "robin":
                 raise SetupError(f"robin node {a_host} needs Robin triples for p and Sw")
-            stencil = ops.stencil(a_host)
+            stencil = ops.stencils[a_host]
             if int(b) not in set(int(x) for x in stencil.neighbors):
                 raise SetupError(
                     f"virtual node {int(b)} is outside the stencil of host {a_host}; "

@@ -55,17 +55,13 @@ def _cmd_run(args) -> int:
     else:
         grid, states, report = run_fdm_scenario(config)
         snapshots = {t: fdm_state_snapshot(grid, s) for t, s in states.items()}
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for t, snap in sorted(snapshots.items()):
-            stem = f"{config.prefix}_{args.solver}_t{t:g}"
-            snap.write_csv(out / f"{stem}.csv")
-            if config.vtk:
-                write_vtk_points(out / f"{stem}.vtk", snap.x, snap.y, {"p": snap.p, "Sw": snap.sw})
-        report.write_csv(out / f"{config.prefix}_{args.solver}_report.csv")
-    except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    for t, snap in sorted(snapshots.items()):
+        stem = f"{config.prefix}_{args.solver}_t{t:g}"
+        snap.write_csv(out / f"{stem}.csv")
+        if config.vtk:
+            write_vtk_points(out / f"{stem}.vtk", snap.x, snap.y, {"p": snap.p, "Sw": snap.sw})
+    report.write_csv(out / f"{config.prefix}_{args.solver}_report.csv")
     print(
         f"completed: {report.n_steps} steps, {report.total_newton_iterations} Newton iterations, "
         f"{len(snapshots)} snapshots -> {out}"
@@ -92,12 +88,8 @@ def _cmd_convergence(args) -> int:
         ref_strip_ny=None if args.ref_full else args.ref_strip,
         partial_sink=sink,
     )
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        result.write_csv(table_path)
-    except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    result.write_csv(table_path)
     print("h, RE_p(gfdm), RE_Sw(gfdm), RE_p(fdm), RE_Sw(fdm)")
     for row in result.rows:
         print(f"{row.h:g}, {row.re_p_gfdm:.4e}, {row.re_sw_gfdm:.4e}, {row.re_p_fdm:.4e}, {row.re_sw_fdm:.4e}")
@@ -137,25 +129,21 @@ def _cmd_diagnose(args) -> int:
     if len(nodes) == 0:
         raise SetupError(f"selector {args.nodes!r} matches no node with operators")
     path = out / f"{config.prefix}_diagnose.csv"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["node", "x", "y", "n_neighbors", "centroid_offset",
+             "imb_e1", "imb_e2", "imb_e3", "imb_e4", "imb_e5", "rcond"]
+        )
+        for n in nodes:
+            q = stencil_quality(ops, int(n))
+            x, y = cloud.positions[n]
             writer.writerow(
-                ["node", "x", "y", "n_neighbors", "centroid_offset",
-                 "imb_e1", "imb_e2", "imb_e3", "imb_e4", "imb_e5", "rcond"]
+                [int(n), repr(float(x)), repr(float(y)), q.n_neighbors, repr(q.centroid_offset)]
+                + [repr(v) for v in q.imbalance]
+                + [repr(q.rcond)]
             )
-            for n in nodes:
-                q = stencil_quality(ops, int(n))
-                x, y = cloud.positions[n]
-                writer.writerow(
-                    [int(n), repr(float(x)), repr(float(y)), q.n_neighbors, repr(q.centroid_offset)]
-                    + [repr(v) for v in q.imbalance]
-                    + [repr(q.rcond)]
-                )
-    except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return EXIT_IO
     if args.dump_operators:
         write_operator_csv(ops, out / f"{config.prefix}_operators.csv")
     print(f"wrote {len(nodes)} stencil-quality rows -> {path}")
@@ -163,12 +151,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        snap_a = FieldSnapshot.read_csv(args.snapshot_a)
-        snap_b = FieldSnapshot.read_csv(args.snapshot_b)
-    except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    snap_a = FieldSnapshot.read_csv(args.snapshot_a)
+    snap_b = FieldSnapshot.read_csv(args.snapshot_b)
     order_a = np.lexsort((snap_a.y, snap_a.x))
     order_b = np.lexsort((snap_b.y, snap_b.x))
     if len(order_a) != len(order_b):

@@ -1,7 +1,10 @@
 """Node clouds: generation, boundary metadata, virtual nodes, stencil search.
 
-Clouds and stencils are immutable after construction and safe to query from
-multiple threads (the spatial index is a read-only :class:`scipy.spatial.cKDTree`).
+A cloud is four arrays over its nodes (positions, kinds, normals, hosts),
+checked in one place, :meth:`NodeCloud._validate`, whichever generator or
+reader built it.  Clouds and stencils are immutable after construction and
+safe to query from multiple threads (the spatial index is a read-only
+:class:`scipy.spatial.cKDTree`).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,7 +22,6 @@ from .errors import CloudError, StencilUnderdeterminedError
 
 __all__ = [
     "NodeKind",
-    "Node",
     "NodeCloud",
     "Stencil",
     "Polygon",
@@ -51,32 +53,6 @@ _KIND_NAMES = {
     NodeKind.VIRTUAL: "virtual",
 }
 _KIND_FROM_NAME = {v: k for k, v in _KIND_NAMES.items()}
-
-
-@dataclass(frozen=True)
-class Node:
-    """One collocation node.
-
-    ``normal`` is set exactly for Robin boundary nodes (unit outward normal);
-    ``host`` is set exactly for virtual nodes and references the Robin node
-    the virtual was spawned from.
-    """
-
-    id: int
-    position: tuple[float, float]
-    kind: NodeKind
-    normal: tuple[float, float] | None = None
-    host: int | None = None
-
-    def __post_init__(self):
-        if (self.kind == NodeKind.ROBIN) != (self.normal is not None):
-            raise CloudError(f"node {self.id}: normal present iff kind is robin")
-        if self.normal is not None:
-            norm = float(np.hypot(*self.normal))
-            if abs(norm - 1.0) > 1e-12:
-                raise CloudError(f"node {self.id}: normal is not unit length ({norm})")
-        if (self.kind == NodeKind.VIRTUAL) != (self.host is not None):
-            raise CloudError(f"node {self.id}: host present iff kind is virtual")
 
 
 def point_segment_distance2(x, y, a, b):
@@ -140,12 +116,21 @@ class Polygon:
         return 2.0 * float(np.sqrt(dmin.max()))
 
 
+def _reject(bad: np.ndarray, problem: str) -> None:
+    """Raise :class:`CloudError` naming the first node flagged in ``bad``."""
+    if bad.any():
+        raise CloudError(f"node {int(np.argmax(bad))}: {problem}")
+
+
 @dataclass(frozen=True)
 class NodeCloud:
-    """Immutable set of nodes with boundary metadata.
+    """Immutable set of nodes with boundary metadata, one array row per node.
 
-    ``normals`` holds NaN rows for nodes without a normal; ``hosts`` holds -1
-    for nodes without a host.  ``h`` is the characteristic spacing.
+    ``positions`` is ``(n, 2)``; ``kinds`` holds :class:`NodeKind` values.
+    ``normals`` holds the unit outward normal of each robin node and NaN rows
+    elsewhere; ``hosts`` holds, for each virtual node, the robin node it was
+    spawned from, and -1 elsewhere.  ``h`` is the characteristic spacing.
+    Construction validates these invariants and rejects coincident nodes.
     """
 
     positions: np.ndarray
@@ -178,20 +163,14 @@ class NodeCloud:
             i, j = sorted(pairs)[0]
             raise CloudError(f"nodes {i} and {j} coincide")
         robin = self.kinds == NodeKind.ROBIN
-        norms = np.hypot(self.normals[:, 0], self.normals[:, 1])
-        if not np.all(np.abs(norms[robin] - 1.0) <= 1e-12):
-            raise CloudError("robin nodes must carry unit normals")
-        if not np.all(np.isnan(self.normals[~robin])):
-            raise CloudError("only robin nodes may carry normals")
+        unit = np.abs(np.hypot(self.normals[:, 0], self.normals[:, 1]) - 1.0) <= 1e-12
+        _reject(robin & ~unit, "robin nodes must carry unit normals")
+        _reject(~robin & ~np.isnan(self.normals).all(axis=1), "only robin nodes may carry normals")
         virtual = self.kinds == NodeKind.VIRTUAL
-        if np.any(self.hosts[virtual] < 0) or np.any(self.hosts[~virtual] != -1):
-            raise CloudError("host set iff node is virtual")
-        if np.any(self.hosts[virtual] >= n):
-            raise CloudError("virtual host index beyond the last node")
-        if virtual.any():
-            host_kinds = self.kinds[self.hosts[virtual]]
-            if not np.all(host_kinds == NodeKind.ROBIN):
-                raise CloudError("virtual hosts must be robin boundary nodes")
+        _reject(np.where(virtual, self.hosts < 0, self.hosts != -1), "host set iff node is virtual")
+        _reject(virtual & (self.hosts >= n), "virtual host index beyond the last node")
+        # every host now indexes a node (-1 the last one, for non-virtual nodes)
+        _reject(virtual & (self.kinds[self.hosts] != NodeKind.ROBIN), "virtual hosts must be robin boundary nodes")
 
     # -- inspection ----------------------------------------------------------
 
@@ -216,33 +195,6 @@ class NodeCloud:
 
     def ids_of_kind(self, kind: NodeKind) -> np.ndarray:
         return np.flatnonzero(self.kinds == kind)
-
-    def node(self, i: int) -> Node:
-        kind = NodeKind(int(self.kinds[i]))
-        normal = tuple(self.normals[i]) if kind == NodeKind.ROBIN else None
-        host = int(self.hosts[i]) if kind == NodeKind.VIRTUAL else None
-        return Node(int(i), (float(self.positions[i, 0]), float(self.positions[i, 1])), kind, normal, host)
-
-    def nodes(self) -> Iterable[Node]:
-        return (self.node(i) for i in range(len(self)))
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[Node], h: float, domain: Polygon | None = None) -> "NodeCloud":
-        n = len(nodes)
-        positions = np.empty((n, 2))
-        kinds = np.empty(n, dtype=np.int8)
-        normals = np.full((n, 2), np.nan)
-        hosts = np.full(n, -1, dtype=np.int64)
-        for k, node in enumerate(nodes):
-            if node.id != k:
-                raise CloudError("node ids must be contiguous and in order")
-            positions[k] = node.position
-            kinds[k] = node.kind
-            if node.normal is not None:
-                normals[k] = node.normal
-            if node.host is not None:
-                hosts[k] = node.host
-        return cls(positions, kinds, normals, hosts, h, domain)
 
 
 @dataclass(frozen=True)
@@ -495,26 +447,32 @@ _CSV_HEADER = ["id", "x", "y", "kind", "n_x", "n_y", "host"]
 
 def write_cloud_csv(cloud: NodeCloud, path) -> None:
     """Dump a cloud in the fixture CSV format (one row per node)."""
+    columns = (cloud.positions.tolist(), cloud.kinds.tolist(), cloud.normals.tolist(), cloud.hosts.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for node in cloud.nodes():
-            nx, ny = ("", "") if node.normal is None else (
-                repr(float(node.normal[0])),
-                repr(float(node.normal[1])),
-            )
-            host = "" if node.host is None else str(node.host)
-            writer.writerow(
-                [
-                    node.id,
-                    repr(float(node.position[0])),
-                    repr(float(node.position[1])),
-                    _KIND_NAMES[node.kind],
-                    nx,
-                    ny,
-                    host,
-                ]
-            )
+        for i, ((x, y), kind, normal, host) in enumerate(zip(*columns)):
+            normal = [repr(v) for v in normal] if kind == NodeKind.ROBIN else ["", ""]
+            host = str(host) if kind == NodeKind.VIRTUAL else ""
+            writer.writerow([i, repr(x), repr(y), _KIND_NAMES[kind], *normal, host])
+
+
+def _parse_row(k: int, row: list[str]):
+    """Position, kind, normal and host of node ``k`` from its CSV row; the
+    normal cells belong to robin rows and the host cell to virtual rows."""
+    nid, x, y, kind_name, nx, ny, host = (c.strip() for c in row)
+    kind = _KIND_FROM_NAME[kind_name.lower()]
+    if int(nid) != k:
+        raise ValueError(f"node id {nid} where id {k} is next")
+    position = float(x), float(y)
+    if not np.all(np.isfinite(position)):
+        raise ValueError("position is not finite")
+    if (kind == NodeKind.ROBIN) != bool(nx or ny):
+        raise ValueError("robin rows, and only they, carry a normal")
+    if (kind == NodeKind.VIRTUAL) != bool(host):
+        raise ValueError("virtual rows, and only they, carry a host")
+    normal = (float(nx), float(ny)) if kind == NodeKind.ROBIN else (np.nan, np.nan)
+    return position, kind, normal, int(host) if host else -1
 
 
 def read_cloud_csv(path_or_text, h: float | None = None, domain: Polygon | None = None) -> NodeCloud:
@@ -534,25 +492,23 @@ def read_cloud_csv(path_or_text, h: float | None = None, domain: Polygon | None 
         raise CloudError(f"cannot read cloud CSV: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise CloudError("cloud CSV must start with the header " + ",".join(_CSV_HEADER))
-    nodes = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            nid, x, y, kind_name, nx, ny, host = (c.strip() for c in row)
-            kind = _KIND_FROM_NAME[kind_name.lower()]
-            normal = (float(nx), float(ny)) if nx else None
-            node = Node(int(nid), (float(x), float(y)), kind, normal, int(host) if host else None)
-        except (KeyError, ValueError) as exc:
-            raise CloudError(f"cloud CSV line {line}: cannot read {row!r} ({exc})") from exc
-        nodes.append(node)
-    if not nodes:
+    body = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    if not body:
         raise CloudError("cloud CSV holds no nodes")
+    n = len(body)
+    positions = np.empty((n, 2))
+    kinds = np.empty(n, dtype=np.int8)
+    normals = np.empty((n, 2))
+    hosts = np.empty(n, dtype=np.int64)
+    for k, (line, row) in enumerate(body):
+        try:
+            positions[k], kinds[k], normals[k], hosts[k] = _parse_row(k, row)
+        except (KeyError, ValueError, OverflowError) as exc:
+            raise CloudError(f"cloud CSV line {line}: cannot read {row!r} ({exc})") from exc
     if h is None:
-        positions = np.array([n.position for n in nodes if n.kind != NodeKind.VIRTUAL])
-        if len(positions) < 2:
+        solid = positions[kinds != NodeKind.VIRTUAL]
+        if len(solid) < 2:
             raise CloudError("cloud CSV needs two non-virtual nodes to infer the spacing")
-        tree = cKDTree(positions)
-        dists, _ = tree.query(positions, k=2)
+        dists, _ = cKDTree(solid).query(solid, k=2)
         h = float(np.median(dists[:, 1]))
-    return NodeCloud.from_nodes(nodes, h=h, domain=domain)
+    return NodeCloud(positions, kinds, normals, hosts, h, domain)

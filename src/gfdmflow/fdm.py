@@ -28,14 +28,13 @@ __all__ = ["FdmGrid", "FdmSystem", "run_fdm", "relative_error"]
 
 @dataclass(frozen=True)
 class FdmGrid:
-    """Vertex-centered rectangular grid; node index = ix * ny + iy."""
+    """Vertex-centered rectangular grid from the origin; node ``ix * ny + iy``
+    sits at ``(ix * dx, iy * dy)``."""
 
     nx: int
     ny: int
     dx: float
     dy: float
-    x0: float = 0.0
-    y0: float = 0.0
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -52,7 +51,7 @@ class FdmGrid:
 
     def positions(self) -> np.ndarray:
         ix, iy = np.divmod(np.arange(self.n_nodes), self.ny)
-        return np.column_stack([self.x0 + ix * self.dx, self.y0 + iy * self.dy])
+        return np.column_stack([ix * self.dx, iy * self.dy])
 
 
 class FdmSystem(PairFluxSystem):

@@ -125,12 +125,6 @@ class DiffOperators:
     stencils: dict[int, Stencil]
     rows: dict[int, np.ndarray]
 
-    def stencil(self, node: int) -> Stencil:
-        return self.stencils[node]
-
-    def node_rows(self, node: int) -> np.ndarray:
-        return self.rows[node]
-
     def laplacian_row(self, node: int) -> np.ndarray:
         rows = self.rows[node]
         return rows[2] + rows[3]

@@ -158,11 +158,12 @@ def pair_transmissibility_parts(i, j, model: ReservoirModel):
     return k_ij, mu_o_ij, mu_w_ij
 
 
-def upwind_nodes(p, pair_i, pair_j):
-    """Upstream node of each directed pair ``pair_i -> pair_j``.
+def upwind_nodes(dp, pair_i, pair_j):
+    """Upstream node of each directed pair ``pair_i -> pair_j`` with the
+    pressure difference ``dp = p_j - p_i``.
 
-    The neighbor ``j`` is upstream when ``p_j >= p_i`` (ties go to the
+    The neighbor ``j`` is upstream when ``dp >= 0`` (ties go to the
     neighbor); both phases use the same oil-pressure test because capillary
     pressure is zero throughout.
     """
-    return np.where(p[pair_j] >= p[pair_i], pair_j, pair_i)
+    return np.where(dp >= 0, pair_j, pair_i)

@@ -1,9 +1,10 @@
 """Shared fixtures: benchmark stencil layouts and small scenario configs."""
 
+import numpy as np
 import pytest
 
 from gfdmflow import ScenarioConfig, SegmentBC, physics
-from gfdmflow.cloud import Node, NodeCloud, NodeKind
+from gfdmflow.cloud import NodeCloud, NodeKind
 
 UP = (0.0, 1.0)
 
@@ -20,6 +21,22 @@ _VIRTUAL_ROW_1 = [
     ("V4", 1.0, 1.0, "4"), ("V5", 2.0, 1.0, "5"),
 ]
 _VIRTUAL_ROW_2 = [("V6", -1.0, 2.0, "2"), ("V7", 0.0, 2.0, "3"), ("V8", 1.0, 2.0, "4")]
+
+
+def make_cloud(positions, kinds, h, normals=None, hosts=None):
+    """A :class:`NodeCloud` from its arrays; ``normals`` default to NaN rows
+    and ``hosts`` to -1, as for nodes that carry neither."""
+    n = len(positions)
+    normals = np.full((n, 2), np.nan) if normals is None else normals
+    hosts = np.full(n, -1) if hosts is None else hosts
+    return NodeCloud(np.asarray(positions, dtype=float), kinds, normals, hosts, h)
+
+
+def interior_cloud(offsets, h):
+    """A cloud of interior nodes: node 0 at the origin, node ``k + 1`` at
+    ``offsets[k]``."""
+    positions = np.vstack([[0.0, 0.0], offsets])
+    return make_cloud(positions, np.full(len(positions), NodeKind.INTERIOR), h)
 
 
 def build_layout_cloud(virtual_rows: int = 0, only_near: bool = False):
@@ -48,12 +65,11 @@ def build_layout_cloud(virtual_rows: int = 0, only_near: bool = False):
             for lab, x, y, host in _VIRTUAL_ROW_2:
                 entries.append((lab, x, y, NodeKind.VIRTUAL, host))
 
-    ids = {lab: k for k, (lab, *_rest) in enumerate(entries)}
-    nodes = []
-    for k, (lab, x, y, kind, host) in enumerate(entries):
-        normal = UP if kind == NodeKind.ROBIN else None
-        nodes.append(Node(k, (x, y), kind, normal, ids[host] if host else None))
-    return NodeCloud.from_nodes(nodes, h=1.0), ids
+    labels, xs, ys, kinds, hosts = zip(*entries)
+    ids = {lab: k for k, lab in enumerate(labels)}
+    normals = [UP if kind == NodeKind.ROBIN else (np.nan, np.nan) for kind in kinds]
+    hosts = [ids[host] if host else -1 for host in hosts]
+    return make_cloud(np.column_stack([xs, ys]), kinds, 1.0, normals, hosts), ids
 
 
 @pytest.fixture

@@ -29,8 +29,8 @@ def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
     for i in range(n):
         kind = NodeKind(int(cloud.kinds[i]))
         if kind in (NodeKind.INTERIOR, NodeKind.ROBIN):
-            stencil = ops.stencil(i)
-            rows = ops.node_rows(i)
+            stencil = ops.stencils[i]
+            rows = ops.rows[i]
             flux_o = 0.0
             flux_w = 0.0
             for k, j in enumerate(stencil.neighbors):
@@ -55,8 +55,8 @@ def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
         elif kind == NodeKind.VIRTUAL:
             host = int(cloud.hosts[i])
             spec = specs[host]
-            stencil = ops.stencil(host)
-            rows = ops.node_rows(host)
+            stencil = ops.stencils[host]
+            rows = ops.rows[host]
             nx, ny = cloud.normals[host]
             for offset, (a, b, g), u in ((0, spec.p_robin, p), (1, spec.sw_robin, sw)):
                 deriv = 0.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import build_layout_cloud, full_waterflood_config
+from conftest import build_layout_cloud, full_waterflood_config, interior_cloud
 from oracle import oracle_point_in_polygon, oracle_residual
 
 import gfdmflow as gf
@@ -240,7 +240,6 @@ class TestCriterion8PropertySuites:
 
         # quadratic exactness on randomized stencils
         rng = np.random.default_rng(77)
-        from gfdmflow.cloud import Node, NodeCloud
 
         checked = 0
         for _ in range(200):
@@ -248,10 +247,7 @@ class TestCriterion8PropertySuites:
             offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) > 0.2]
             if len(offsets) < 6:
                 continue
-            nodes = [Node(0, (0.0, 0.0), NodeKind.INTERIOR)] + [
-                Node(k + 1, tuple(map(float, o)), NodeKind.INTERIOR) for k, o in enumerate(offsets)
-            ]
-            cloud = NodeCloud.from_nodes(nodes, h=0.5)
+            cloud = interior_cloud(offsets, h=0.5)
             try:
                 _, rows = build_node_rows(cloud, 0, 1.6)
             except gf.DegenerateStencilError:
@@ -305,11 +301,11 @@ class TestCriterion8PropertySuites:
         from gfdmflow.physics import UNIT_ALPHA, kro, krw, pair_transmissibility_parts, upwind_nodes
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)):
-            stencil = ops.stencil(i)
+            stencil = ops.stencils[i]
             lap = ops.laplacian_row(i)
             nbr = stencil.neighbors
             k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), i), nbr, model)
-            sw_up = state_new.sw[upwind_nodes(state_new.p, np.full(len(nbr), i), nbr)]
+            sw_up = state_new.sw[upwind_nodes(state_new.p[nbr] - state_new.p[i], np.full(len(nbr), i), nbr)]
             lam_o, lam_w = kro(sw_up, model) / mu_o, krw(sw_up, model) / mu_w
             total = float(
                 np.sum(UNIT_ALPHA * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))

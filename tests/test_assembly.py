@@ -20,6 +20,7 @@ from gfdmflow import (
 )
 from gfdmflow.pipeline import assign_boundary_specs, build_cloud, build_model
 
+from conftest import make_cloud
 from oracle import oracle_residual
 from test_fdm import SIDES as FDM_SIDES
 
@@ -129,19 +130,12 @@ class TestResidualValues:
 
     def test_three_node_line_hand_computed(self):
         """1-D three-node chain against a by-hand evaluation of the scheme."""
-        from gfdmflow.cloud import Node, NodeCloud
-
-        nodes = [
-            Node(0, (0.0, 0.0), NodeKind.DIRICHLET),
-            Node(1, (1.0, 0.0), NodeKind.INTERIOR),
-            Node(2, (2.0, 0.0), NodeKind.DIRICHLET),
-            # off-line padding so the 5-unknown fit is determined
-            Node(3, (0.5, 1.0), NodeKind.INTERIOR),
-            Node(4, (1.5, 1.0), NodeKind.INTERIOR),
-            Node(5, (0.5, -1.0), NodeKind.INTERIOR),
-            Node(6, (1.5, -1.0), NodeKind.INTERIOR),
-        ]
-        cloud = NodeCloud.from_nodes(nodes, h=1.0)
+        cloud = make_cloud(
+            # the chain, then off-line padding so the 5-unknown fit is determined
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.0), (1.5, 1.0), (0.5, -1.0), (1.5, -1.0)],
+            [NodeKind.DIRICHLET, NodeKind.INTERIOR, NodeKind.DIRICHLET] + [NodeKind.INTERIOR] * 4,
+            h=1.0,
+        )
         ops = build_operators(cloud, 2.3)
         model = ReservoirModel.uniform(len(cloud))
         state_new = SimState(
@@ -158,8 +152,8 @@ class TestResidualValues:
         r_oil, r_water = residual(state_new, state_old, dt, cloud, ops, model, specs)[2:4]
 
         # direct spreadsheet-style evaluation at node 1
-        stencil = ops.stencil(1)
-        rows = ops.node_rows(1)
+        stencil = ops.stencils[1]
+        rows = ops.rows[1]
         flux_o = flux_w = 0.0
         for k, j in enumerate(stencil.neighbors):
             j = int(j)
@@ -306,11 +300,11 @@ class TestStructuralProperties:
         from gfdmflow.physics import UNIT_ALPHA, kro, krw, pair_transmissibility_parts, upwind_nodes
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)[:20]):
-            stencil = ops.stencil(i)
+            stencil = ops.stencils[i]
             lap = ops.laplacian_row(i)
             nbr = stencil.neighbors
             k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), i), nbr, model)
-            sw_up = state_new.sw[upwind_nodes(state_new.p, np.full(len(nbr), i), nbr)]
+            sw_up = state_new.sw[upwind_nodes(state_new.p[nbr] - state_new.p[i], np.full(len(nbr), i), nbr)]
             lam_o, lam_w = kro(sw_up, model) / mu_o, krw(sw_up, model) / mu_w
             total = float(
                 np.sum(UNIT_ALPHA * k_h * (lam_o + lam_w) * lap * (state_new.p[nbr] - state_new.p[i]))

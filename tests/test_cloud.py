@@ -14,9 +14,9 @@ from gfdmflow import (
     read_cloud_csv,
     write_cloud_csv,
 )
-from gfdmflow.cloud import Node, NodeCloud, Polygon
+from gfdmflow.cloud import Polygon
 
-from conftest import build_layout_cloud
+from conftest import build_layout_cloud, make_cloud
 
 WATERFLOOD_SIDES = {"left": "dirichlet", "right": "dirichlet", "top": "robin", "bottom": "robin"}
 
@@ -73,11 +73,12 @@ class TestVirtualNodes:
         assert len(np.unique(hosts)) == cloud.n_robin
 
     def test_single_node_placement(self):
-        nodes = [
-            Node(0, (10.0, 80.0), NodeKind.ROBIN, (0.0, 1.0)),
-            Node(1, (10.0, 76.0), NodeKind.INTERIOR),
-        ]
-        cloud = NodeCloud.from_nodes(nodes, h=4.0)
+        cloud = make_cloud(
+            [(10.0, 80.0), (10.0, 76.0)],
+            [NodeKind.ROBIN, NodeKind.INTERIOR],
+            h=4.0,
+            normals=[(0.0, 1.0), (np.nan, np.nan)],
+        )
         out = add_virtual_nodes(cloud, 4.0)
         assert np.allclose(out.positions[2], (10.0, 84.0))
 
@@ -194,26 +195,18 @@ class TestStencils:
 
 class TestCloudInvariants:
     def test_coincident_nodes_rejected(self):
-        nodes = [
-            Node(0, (0.0, 0.0), NodeKind.INTERIOR),
-            Node(1, (0.0, 0.0), NodeKind.INTERIOR),
-        ]
         with pytest.raises(CloudError, match="coincide"):
-            NodeCloud.from_nodes(nodes, h=1.0)
+            make_cloud([(0.0, 0.0), (0.0, 0.0)], [NodeKind.INTERIOR] * 2, h=1.0)
 
     def test_normal_required_for_robin(self):
         with pytest.raises(CloudError):
-            Node(0, (0.0, 0.0), NodeKind.ROBIN, normal=None)
+            make_cloud([(0.0, 0.0)], [NodeKind.ROBIN], h=1.0)
         with pytest.raises(CloudError):
-            Node(0, (0.0, 0.0), NodeKind.ROBIN, normal=(1.0, 1.0))
+            make_cloud([(0.0, 0.0)], [NodeKind.ROBIN], h=1.0, normals=[(1.0, 1.0)])
 
     def test_host_references_robin(self):
-        nodes = [
-            Node(0, (0.0, 0.0), NodeKind.INTERIOR),
-            Node(1, (0.0, 1.0), NodeKind.VIRTUAL, host=0),
-        ]
         with pytest.raises(CloudError, match="robin"):
-            NodeCloud.from_nodes(nodes, h=1.0)
+            make_cloud([(0.0, 0.0), (0.0, 1.0)], [NodeKind.INTERIOR, NodeKind.VIRTUAL], h=1.0, hosts=[-1, 0])
 
     def test_virtual_positions_outside(self):
         cloud = generate_cartesian_cloud(40, 16, 4, 4, WATERFLOOD_SIDES)
@@ -235,6 +228,14 @@ class TestCsvRoundTrip:
         robin = cloud.ids_of_kind(NodeKind.ROBIN)
         assert np.allclose(back.normals[robin], cloud.normals[robin])
 
+    def test_write_read_write_bytes(self, tmp_path):
+        cartesian = generate_cartesian_cloud(16, 8, 4, 4, {s: "robin" for s in WATERFLOOD_SIDES})
+        cloud = add_virtual_nodes(cartesian, 4.0)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_cloud_csv(cloud, first)
+        write_cloud_csv(read_cloud_csv(first, h=cloud.h), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2\n")
@@ -251,10 +252,18 @@ class TestCsvRoundTrip:
             ("", "no nodes"),
             ("0,0.0,0.0,interior,,,\n", "two non-virtual nodes"),
             ("0,0.0,0.0,interior,,,\n1,1.0,0.0,interior,,,\n2,0.0,1.0,virtual,,,99\n", "host"),
+            ("0,0.0,0.0,interior,0.0,1.0,\n1,1.0,0.0,interior,,,\n", "line 2"),
+            ("0,0.0,0.0,interior,,,\n1,1.0,0.0,interior,nan,nan,\n", "line 3"),
+            ("0,0.0,0.0,interior,,,\n1,1.0,0.0,interior,,,-1\n", "line 3"),
+            ("0,0.0,0.0,robin,0.0,1.0,\n1,1.0,0.0,interior,,,\n2,0.0,1.0,virtual,,,\n", "line 4"),
+            ("0,0.0,0.0,interior,,,\n2,1.0,0.0,interior,,,\n", "line 3"),
+            ("0,0.0,0.0,interior,,,\n1,1.0,0.0,robin,,,\n", "line 3"),
+            ("0,0.0,0.0,interior,,,\n1,inf,0.0,interior,,,\n", "line 3"),
         ],
         ids=[
             "unknown-kind", "short-row", "non-numeric", "non-integer-host", "header-only", "one-node",
-            "host-out-of-range",
+            "host-out-of-range", "normal-on-interior", "nan-normal-on-interior", "host-on-interior",
+            "virtual-without-host", "ids-out-of-order", "robin-without-normal", "non-finite-position",
         ],
     )
     def test_malformed_rows_raise_cloud_error(self, tmp_path, body, message):

@@ -266,13 +266,20 @@ class TestRunCommand:
         bad.write_bytes(b"[domain]\nshape = rect\xffangle\n")
         assert main(["run", str(bad)]) == 2
 
-    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "diagnose", "compare"])
+    def test_unwritable_output_is_io_error(self, tmp_path, monkeypatch, capsys, command):
+        # run and diagnose meet a file where their output directory should
+        # be; compare is given a snapshot path that does not exist
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         monkeypatch.setenv("GFDMFLOW_OUTDIR", str(blocker))
         cfg = tmp_path / "t.cfg"
         cfg.write_text(SMALL_CFG.format(outdir=tmp_path / "out"))
-        assert main(["run", str(cfg)]) == 4
+        missing = str(tmp_path / "missing.csv")
+        args = {"run": [str(cfg)], "diagnose": [str(cfg)], "compare": [missing, missing]}[command]
+        assert main([command, *args]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io-error: ")
 
     def test_outdir_env_override(self, tiny_config_path, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"

@@ -12,11 +12,10 @@ from gfdmflow import (
     stencil_quality,
     weight,
 )
-from gfdmflow.cloud import Node, NodeCloud
 from gfdmflow.operators import DiffOperators, build_node_rows, write_operator_csv
 
 import golden
-from conftest import assert_imbalance, build_layout_cloud
+from conftest import assert_imbalance, build_layout_cloud, interior_cloud, make_cloud
 
 SIDES = {"left": "dirichlet", "right": "dirichlet", "top": "robin", "bottom": "robin"}
 D_SIDES = {side: "dirichlet" for side in SIDES}
@@ -104,10 +103,7 @@ class TestBuildOperators:
             offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) > 0.15]
             if len(offsets) < 6:
                 continue
-            nodes = [Node(0, (0.0, 0.0), NodeKind.INTERIOR)] + [
-                Node(k + 1, tuple(map(float, o)), NodeKind.INTERIOR) for k, o in enumerate(offsets)
-            ]
-            cloud = NodeCloud.from_nodes(nodes, h=0.5)
+            cloud = interior_cloud(offsets, h=0.5)
             try:
                 _, rows = build_node_rows(cloud, 0, 1.6)
             except DegenerateStencilError:
@@ -154,10 +150,7 @@ class TestBuildOperators:
             assert (int(i) in ops) == expected
 
     def test_collinear_neighbors_degenerate(self):
-        nodes = [Node(0, (0.0, 0.0), NodeKind.INTERIOR)] + [
-            Node(k, (0.3 * k, 0.0), NodeKind.INTERIOR) for k in range(1, 7)
-        ]
-        cloud = NodeCloud.from_nodes(nodes, h=0.3)
+        cloud = make_cloud([(0.3 * k, 0.0) for k in range(7)], [NodeKind.INTERIOR] * 7, h=0.3)
         with pytest.raises(DegenerateStencilError, match="node 0"):
             build_node_rows(cloud, 0, 2.5)
 
@@ -165,8 +158,8 @@ class TestBuildOperators:
         cloud = generate_cartesian_cloud(8, 8, 1, 1, D_SIDES)
         ops = build_operators(cloud, 2.001)
         mid = int(np.flatnonzero((cloud.positions == [4.0, 4.0]).all(axis=1))[0])
-        st = ops.stencil(mid)
-        rows = ops.node_rows(mid)
+        st = ops.stencils[mid]
+        rows = ops.rows[mid]
         index_of = {tuple(np.round(o, 9)): k for k, o in enumerate(st.offsets)}
         for k, (ox, oy) in enumerate(st.offsets):
             m = index_of[tuple(np.round((-ox, oy), 9))]
@@ -182,11 +175,7 @@ class TestBuildOperators:
         offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) > 0.2]
 
         def rows_for(scale):
-            nodes = [Node(0, (0.0, 0.0), NodeKind.INTERIOR)] + [
-                Node(k + 1, (float(o[0] * scale), float(o[1] * scale)), NodeKind.INTERIOR)
-                for k, o in enumerate(offsets)
-            ]
-            cloud = NodeCloud.from_nodes(nodes, h=0.5 * scale)
+            cloud = interior_cloud(offsets * scale, h=0.5 * scale)
             _, rows = build_node_rows(cloud, 0, 1.5 * scale)
             return rows
 
@@ -241,5 +230,5 @@ def test_operator_csv_dump(tmp_path):
     write_operator_csv(ops, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node,neighbor,e1,e2,e3,e4,e5"
-    total = sum(len(ops.stencil(i)) for i in ops.rows)
+    total = sum(len(ops.stencils[i]) for i in ops.rows)
     assert len(lines) == 1 + total

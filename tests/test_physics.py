@@ -89,7 +89,8 @@ class TestPairAverages:
 def pair_mobilities(p, sw, model, pair_i=0, pair_j=1):
     """Upwind oil and water mobilities of the pairs ``pair_i -> pair_j`` over
     the node arrays ``p`` and ``sw``, at pair viscosities 10 and 2."""
-    sw_up = np.asarray(sw, dtype=float)[upwind_nodes(np.asarray(p, dtype=float), pair_i, pair_j)]
+    p = np.asarray(p, dtype=float)
+    sw_up = np.asarray(sw, dtype=float)[upwind_nodes(p[pair_j] - p[pair_i], pair_i, pair_j)]
     return kro(sw_up, model) / 10.0, krw(sw_up, model) / 2.0
 
 
