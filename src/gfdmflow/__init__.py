@@ -13,7 +13,6 @@ from .assembly import ImplicitSystem
 from .cloud import (
     NodeKind,
     add_virtual_nodes,
-    find_stencil,
     generate_cartesian_cloud,
     generate_irregular_cloud,
     read_cloud_csv,
@@ -32,7 +31,7 @@ from .errors import (
     UnphysicalValueError,
 )
 from .fdm import FdmGrid, FdmSystem, relative_error, run_fdm
-from .operators import apply_operators, build_operators, stencil_quality, weight
+from .operators import build_operators, stencil_quality, weight
 from .physics import (
     ReservoirModel,
     SimState,

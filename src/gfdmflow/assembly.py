@@ -219,7 +219,7 @@ class PairFluxSystem:
 class ImplicitSystem(PairFluxSystem):
     """Meshless residual/Jacobian evaluator for one cloud and radius.
 
-    The constructor validates the setup (operators present for all flow
+    The constructor validates the setup (operators for exactly the flow
     nodes, a condition of the node's kind for every Dirichlet node and every
     virtual node's host, virtual nodes resolvable in their host stencils) and
     freezes the sparsity pattern.  ``specs`` maps those boundary nodes to
@@ -244,14 +244,13 @@ class ImplicitSystem(PairFluxSystem):
         virtual_ids = cloud.ids_of_kind(NodeKind.VIRTUAL)
         if len(flow_ids) + len(dirichlet_ids) + len(virtual_ids) != len(cloud):
             raise SetupError("some node has no assembly rule (unknown kind)")
-        missing = [int(i) for i in flow_ids if int(i) not in ops]
-        if missing:
-            raise SetupError(f"missing operators for flow nodes {missing[:5]}")
+        if not np.array_equal(ops.nodes, flow_ids):
+            missing = np.setdiff1d(flow_ids, ops.nodes)[:5].tolist()
+            raise SetupError(f"operators must cover exactly the flow nodes (missing {missing})")
 
-        stencils = [ops.stencils[int(i)] for i in flow_ids]
-        pair_i = np.repeat(flow_ids, [len(s) for s in stencils])
-        pair_j = np.concatenate([np.empty(0, dtype=np.int64)] + [s.neighbors for s in stencils])
-        laplacian = np.concatenate([np.empty(0)] + [ops.laplacian_row(int(i)) for i in flow_ids])
+        # the pairs are the table's entries: each flow node with its stencil
+        pair_i = np.repeat(ops.nodes, np.diff(ops.indptr))
+        laplacian = ops.coef[2] + ops.coef[3]
 
         const_rows = []
         for c in dirichlet_ids:
@@ -265,15 +264,15 @@ class ImplicitSystem(PairFluxSystem):
             bc = self.specs.get(a_host)
             if bc is None or bc.kind != "robin":
                 raise SetupError(f"robin node {a_host} needs Robin triples for p and Sw")
-            stencil = ops.stencils[a_host]
+            stencil, rows = ops.stencils[a_host], ops.rows[a_host]
             if int(b) not in set(int(x) for x in stencil.neighbors):
                 raise SetupError(
                     f"virtual node {int(b)} is outside the stencil of host {a_host}; "
                     "influence radius too small"
                 )
             normal = cloud.normals[a_host]
-            cdir = ops.directional_row(a_host, (normal[0], normal[1]))
+            cdir = normal[0] * rows[0] + normal[1] * rows[1]
             for k, (a, coef, g) in enumerate(robin_triples(bc)):
                 const_rows.append(AffineRow(2 * b + k, a, 2 * a_host + k, g, 2 * stencil.neighbors + k, coef * cdir))
 
-        super().__init__(model, len(cloud), flow_ids, pair_i, pair_j, laplacian, const_rows)
+        super().__init__(model, len(cloud), flow_ids, pair_i, ops.neighbors, laplacian, const_rows)

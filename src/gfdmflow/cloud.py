@@ -1,10 +1,10 @@
-"""Node clouds: generation, boundary metadata, virtual nodes, stencil search.
+"""Node clouds: generation, boundary metadata, virtual nodes, CSV I/O.
 
 A cloud is four arrays over its nodes (positions, kinds, normals, hosts),
 checked in one place, :meth:`NodeCloud._validate`, whichever generator or
-reader built it.  Clouds and stencils are immutable after construction and
-safe to query from multiple threads (the spatial index is a read-only
-:class:`scipy.spatial.cKDTree`).
+reader built it.  Clouds are immutable after construction and safe to query
+from multiple threads (the spatial index that the stencil search of
+:mod:`gfdmflow.operators` queries is a read-only ``cKDTree``).
 """
 
 from __future__ import annotations
@@ -18,23 +18,18 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import CloudError, StencilUnderdeterminedError
+from .errors import CloudError
 
 __all__ = [
     "NodeKind",
     "NodeCloud",
-    "Stencil",
     "Polygon",
     "generate_cartesian_cloud",
     "generate_irregular_cloud",
     "add_virtual_nodes",
-    "find_stencil",
     "write_cloud_csv",
     "read_cloud_csv",
 ]
-
-#: Minimum neighbor count needed to determine the five derivative unknowns.
-MIN_NEIGHBORS = 5
 
 _COINCIDENT_TOL = 1e-9
 
@@ -147,17 +142,19 @@ class NodeCloud:
         object.__setattr__(self, "kinds", np.asarray(self.kinds, dtype=np.int8))
         object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
         object.__setattr__(self, "hosts", np.asarray(self.hosts, dtype=np.int64))
-        if positions.shape != (len(positions), 2):
-            raise CloudError("positions must have shape (n, 2)")
-        object.__setattr__(self, "_tree", cKDTree(positions))
         self._validate()
 
     def _validate(self):
         n = len(self.positions)
-        if not (len(self.kinds) == len(self.normals) == len(self.hosts) == n):
+        if self.positions.shape != (n, 2) or self.normals.shape != (n, 2):
+            raise CloudError("positions and normals must have shape (n, 2)")
+        if not (len(self.kinds) == len(self.hosts) == n):
             raise CloudError("field lengths disagree")
         if self.h <= 0:
             raise CloudError("characteristic spacing must be positive")
+        _reject(~np.isfinite(self.positions).all(axis=1), "position is not finite")
+        # the spatial index needs the finite positions checked above
+        object.__setattr__(self, "_tree", cKDTree(self.positions))
         pairs = self._tree.query_pairs(_COINCIDENT_TOL * self.h)
         if pairs:
             i, j = sorted(pairs)[0]
@@ -195,43 +192,6 @@ class NodeCloud:
 
     def ids_of_kind(self, kind: NodeKind) -> np.ndarray:
         return np.flatnonzero(self.kinds == kind)
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Influence-domain membership of one center node.
-
-    Offsets follow the neighbor-minus-center convention; this is the single
-    global sign choice validated by the golden coefficient tests.
-    """
-
-    neighbors: np.ndarray
-    offsets: np.ndarray
-    distances: np.ndarray
-    radius: float
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-
-def find_stencil(cloud: NodeCloud, center: int, r_e: float) -> Stencil:
-    """All nodes within ``r_e`` of the center (center excluded), id-ordered.
-
-    Raises :class:`StencilUnderdeterminedError` when fewer than five
-    neighbors are found.
-    """
-    if r_e <= 0:
-        raise ValueError("influence radius must be positive")
-    ids = cloud._tree.query_ball_point(cloud.positions[center], r_e)
-    ids = np.array(sorted(i for i in ids if i != center), dtype=np.int64)
-    if len(ids) < MIN_NEIGHBORS:
-        raise StencilUnderdeterminedError(
-            f"stencil underdetermined at node {center}: "
-            f"{len(ids)} neighbors within r_e={r_e} (need {MIN_NEIGHBORS})"
-        )
-    offsets = cloud.positions[ids] - cloud.positions[center]
-    distances = np.hypot(offsets[:, 0], offsets[:, 1])
-    return Stencil(ids, offsets, distances, float(r_e))
 
 
 # -- generators ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Per-node difference operators from weighted least squares on Taylor expansions.
+"""Difference operators from weighted least squares on Taylor expansions.
 
 For a center node with neighbors at offsets ``(dx_j, dy_j)`` (neighbor minus
 center) the five derivative values ``(ux, uy, uxx, uyy, uxy)`` are the
@@ -16,20 +16,22 @@ unsquared weights.
 
 from __future__ import annotations
 
+import csv
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import NodeCloud, NodeKind, Stencil, find_stencil
-from .errors import DegenerateStencilError
+from .cloud import NodeCloud, NodeKind
+from .errors import DegenerateStencilError, StencilUnderdeterminedError
 
 __all__ = [
     "weight",
+    "Stencil",
     "DiffOperators",
-    "DerivativeBundle",
     "build_operators",
     "build_node_rows",
-    "apply_operators",
     "stencil_quality",
     "StencilQuality",
     "write_operator_csv",
@@ -37,6 +39,9 @@ __all__ = [
 
 #: Reciprocal-condition threshold below which a stencil is rejected.
 RCOND_DEGENERATE = 1e-12
+
+#: Minimum neighbor count needed to determine the five derivative unknowns.
+MIN_NEIGHBORS = 5
 
 
 def weight(r, r_e):
@@ -54,98 +59,165 @@ def _taylor_matrix(offsets: np.ndarray) -> np.ndarray:
     return np.column_stack([dx, dy, 0.5 * dx**2, 0.5 * dy**2, dx * dy])
 
 
-def _solve_rows(stencil: Stencil, degenerate: str, label) -> np.ndarray:
-    """Coefficient rows E of one stencil, or the diagnostic continuation.
+@dataclass(frozen=True)
+class Stencil:
+    """One center's view of a :class:`DiffOperators` table, with the rcond
+    of its equilibrated normal equations.  Offsets follow the
+    neighbor-minus-center convention; this is the single global sign choice
+    validated by the golden coefficient tests.
+    """
+
+    neighbors: np.ndarray
+    offsets: np.ndarray
+    distances: np.ndarray
+    radius: float
+    rcond: float
+
+    def __len__(self) -> int:
+        return len(self.neighbors)
+
+
+class _ByNode(Mapping):
+    """Read-only ``node -> value(k)``, ``k`` the node's index in ``nodes``."""
+
+    def __init__(self, nodes: np.ndarray, value):
+        self._nodes, self._value = nodes, value
+
+    def __getitem__(self, node):
+        k = int(np.searchsorted(self._nodes, node))
+        if k == len(self._nodes) or self._nodes[k] != node:
+            raise KeyError(node)
+        return self._value(k)
+
+    def __iter__(self):
+        return iter(self._nodes.tolist())
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
+@dataclass(frozen=True)
+class DiffOperators:
+    """The operators of the sorted center ``nodes``, as one read-only table.
+
+    Center ``nodes[k]`` owns the entries ``indptr[k]:indptr[k + 1]``: its
+    id-ordered ``neighbors``, their ``offsets`` and the coefficient rows
+    ``coef[:, entries]``; row ``m`` applied to the differences
+    ``u_j - u_center`` yields the m-th derivative (x, y, xx, yy, xy order).
+    ``stencils`` and ``rows`` view the table per node.
+    """
+
+    nodes: np.ndarray
+    indptr: np.ndarray
+    neighbors: np.ndarray
+    offsets: np.ndarray
+    coef: np.ndarray
+    rcond: np.ndarray
+    radius: float
+
+    @property
+    def stencils(self) -> Mapping[int, Stencil]:
+        def stencil(k):
+            sl = slice(self.indptr[k], self.indptr[k + 1])
+            off = self.offsets[sl]
+            return Stencil(self.neighbors[sl], off, np.hypot(off[:, 0], off[:, 1]), self.radius, float(self.rcond[k]))
+
+        return _ByNode(self.nodes, stencil)
+
+    @property
+    def rows(self) -> Mapping[int, np.ndarray]:
+        return _ByNode(self.nodes, lambda k: self.coef[:, self.indptr[k] : self.indptr[k + 1]])
+
+    def __contains__(self, node: int) -> bool:
+        return node in self.rows
+
+
+def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: str) -> DiffOperators:
+    """The operator table of ``centers`` (sorted ids), in one batched pass.
 
     The normal equations are solved on radius-scaled offsets after symmetric
     Jacobi equilibration, so the degeneracy estimate is invariant to node
     spacing and to near-cutoff weights that merely scale a column (a weight
     of 1e-17 on the only xy-resolving neighbors is harmless scaling, not
     rank deficiency; true collinearity survives equilibration and is
-    rejected).
+    rejected).  Stencils of one size share one stacked product and solve.
     """
-    r_e = stencil.radius
-    L = _taylor_matrix(stencil.offsets / r_e)
-    w2 = weight(stencil.distances, r_e) ** 2
-    A = L.T @ (w2[:, None] * L)
-    B = (L * w2[:, None]).T
-    rcond = _equilibrated_rcond(A)
-    if rcond < RCOND_DEGENERATE:
-        if degenerate == "raise":
-            raise DegenerateStencilError(
-                f"degenerate stencil at node {label}: rcond={rcond:.2e} "
-                "(neighbor geometry cannot determine all five derivatives)"
+    if degenerate not in ("raise", "inverse"):
+        raise ValueError("degenerate must be 'raise' or 'inverse'")
+    if r_e <= 0:
+        raise ValueError("influence radius must be positive")
+    # every node within r_e, id-ordered; the center is its own member
+    hits = cloud._tree.query_ball_point(cloud.positions[centers], r_e, return_sorted=True)
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(centers))
+    members = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum()))
+    neighbors = members[members != np.repeat(centers, counts)]
+    sizes = counts - 1
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = cloud.positions[neighbors] - cloud.positions[np.repeat(centers, sizes)]
+
+    L = _taylor_matrix(offsets / r_e)
+    w2 = weight(np.hypot(offsets[:, 0], offsets[:, 1]), r_e) ** 2
+    WL = L * w2[:, None]
+    coef = np.empty((5, len(neighbors)))
+    rcond = np.zeros(len(centers))
+    for size in np.unique(sizes[sizes >= MIN_NEIGHBORS]):
+        group = np.flatnonzero(sizes == size)
+        entries = indptr[group][:, None] + np.arange(size)
+        WL_g = WL[entries]
+        A = np.matmul(L[entries].transpose(0, 2, 1), WL_g)
+        # equilibrated A * (s_i * s_j); with a zero diagonal entry rcond stays 0
+        d = np.diagonal(A, axis1=1, axis2=2)
+        eq = np.flatnonzero((d > 0).all(axis=1))
+        s = 1.0 / np.sqrt(d[eq])[:, :, None]
+        A_eq = A[eq] * (s * s.transpose(0, 2, 1))
+        sv = np.linalg.svd(A_eq, compute_uv=False)
+        rcond[group[eq]] = sv[:, -1] / sv[:, 0]
+        ok = rcond[group[eq]] >= RCOND_DEGENERATE
+        E = s[ok] * np.linalg.solve(A_eq[ok], s[ok] * WL_g[eq[ok]].transpose(0, 2, 1))
+        # derivatives w.r.t. scaled coordinates back to physical units
+        E[:, :2] /= r_e
+        E[:, 2:] /= r_e**2
+        coef[:, entries[eq[ok]]] = E.transpose(1, 0, 2)
+
+    # errors and inverses in center order: the lowest offending center is named
+    under = sizes < MIN_NEIGHBORS
+    flagged = ~under & (rcond < RCOND_DEGENERATE)
+    offending = np.flatnonzero(under | flagged if degenerate == "raise" else under)
+    stop = offending[0] if len(offending) else len(centers)
+    for k in np.flatnonzero(flagged[:stop]):
+        # Diagnostic continuation (degenerate='inverse' only): explicit
+        # inverse of the raw (unscaled) system, matching the reference
+        # analysis of rank-deficient boundary stencils.  Entries along the
+        # null direction are not well-defined; use only for diagnostics.
+        sl = slice(indptr[k], indptr[k + 1])
+        L_raw = _taylor_matrix(offsets[sl])
+        A_raw = L_raw.T @ (w2[sl, None] * L_raw)
+        coef[:, sl] = np.linalg.inv(A_raw) @ (L_raw * w2[sl, None]).T
+    if stop < len(centers):
+        if under[stop]:
+            raise StencilUnderdeterminedError(
+                f"stencil underdetermined at node {centers[stop]}: "
+                f"{sizes[stop]} neighbors within r_e={r_e} (need {MIN_NEIGHBORS})"
             )
-        # Diagnostic continuation: explicit inverse of the raw (unscaled)
-        # system, matching the reference analysis of rank-deficient boundary
-        # stencils.  Entries along the null direction are not well-defined;
-        # use only for diagnostics.
-        L_raw = _taylor_matrix(stencil.offsets)
-        A_raw = L_raw.T @ (w2[:, None] * L_raw)
-        return np.linalg.inv(A_raw) @ (L_raw * w2[:, None]).T
-    s = 1.0 / np.sqrt(np.diag(A))
-    A_eq = A * np.outer(s, s)
-    E_hat = s[:, None] * np.linalg.solve(A_eq, s[:, None] * B)
-    # derivatives w.r.t. scaled coordinates back to physical units
-    E_hat[0] /= r_e
-    E_hat[1] /= r_e
-    E_hat[2:] /= r_e**2
-    return E_hat
+        raise DegenerateStencilError(
+            f"degenerate stencil at node {centers[stop]}: rcond={rcond[stop]:.2e} "
+            "(neighbor geometry cannot determine all five derivatives)"
+        )
 
-
-def _equilibrated_rcond(A: np.ndarray) -> float:
-    d = np.diag(A).copy()
-    if np.any(d <= 0):
-        return 0.0
-    s = 1.0 / np.sqrt(d)
-    sv = np.linalg.svd(A * np.outer(s, s), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    ux: float
-    uy: float
-    uxx: float
-    uyy: float
-    uxy: float
-
-
-@dataclass(frozen=True)
-class DiffOperators:
-    """Coefficient rows per node, aligned with each node's stencil.
-
-    ``rows[i]`` has shape ``(5, n_i)``; row ``m`` applied to the differences
-    ``u_j - u_center`` yields the m-th derivative (x, y, xx, yy, xy order).
-    Immutable and safe for concurrent reads.
-    """
-
-    stencils: dict[int, Stencil]
-    rows: dict[int, np.ndarray]
-
-    def laplacian_row(self, node: int) -> np.ndarray:
-        rows = self.rows[node]
-        return rows[2] + rows[3]
-
-    def directional_row(self, node: int, normal: tuple[float, float]) -> np.ndarray:
-        rows = self.rows[node]
-        return normal[0] * rows[0] + normal[1] * rows[1]
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.rows
+    table = (centers, indptr, neighbors, offsets, coef, rcond)
+    for array in table:
+        array.flags.writeable = False
+    return DiffOperators(*table, float(r_e))
 
 
 def build_node_rows(cloud: NodeCloud, center: int, r_e: float, degenerate: str = "raise"):
-    """Stencil and coefficient rows for a single node.
+    """Stencil and coefficient rows for a single node: the one-center table.
 
     ``degenerate='inverse'`` continues through rank-deficient stencils with an
-    explicit matrix inverse instead of raising; see :func:`_solve_rows`.
+    explicit matrix inverse instead of raising.
     """
-    stencil = find_stencil(cloud, center, r_e)
-    rows = _solve_rows(stencil, degenerate, center)
-    return stencil, rows
+    ops = _build_table(cloud, np.array([center], dtype=np.int64), r_e, degenerate)
+    return ops.stencils[center], ops.rows[center]
 
 
 def build_operators(cloud: NodeCloud, r_e: float, degenerate: str = "raise") -> DiffOperators:
@@ -154,31 +226,11 @@ def build_operators(cloud: NodeCloud, r_e: float, degenerate: str = "raise") -> 
     Covers interior and Robin nodes; Dirichlet and virtual nodes need none.
     Raises :class:`DegenerateStencilError` naming the node when a local
     system is rank-deficient (e.g. all neighbors on one line), unless
-    ``degenerate='inverse'`` is passed for diagnostic work.
+    ``degenerate='inverse'`` is passed for diagnostic work; the lowest
+    offending node is named.
     """
-    if degenerate not in ("raise", "inverse"):
-        raise ValueError("degenerate must be 'raise' or 'inverse'")
-    stencils: dict[int, Stencil] = {}
-    rows: dict[int, np.ndarray] = {}
-    wanted = np.flatnonzero(
-        (cloud.kinds == NodeKind.INTERIOR) | (cloud.kinds == NodeKind.ROBIN)
-    )
-    for center in wanted:
-        stencil, coeff = build_node_rows(cloud, int(center), r_e, degenerate)
-        stencils[int(center)] = stencil
-        rows[int(center)] = coeff
-    return DiffOperators(stencils, rows)
-
-
-def apply_operators(ops: DiffOperators, field: np.ndarray, node: int) -> DerivativeBundle:
-    """Evaluate all five derivatives of a nodal field at one node."""
-    stencil = ops.stencils[node]
-    field = np.asarray(field, dtype=float)
-    if field.shape[0] <= max(int(stencil.neighbors.max()), node):
-        raise ValueError("field does not cover all stencil members")
-    diffs = field[stencil.neighbors] - field[node]
-    ux, uy, uxx, uyy, uxy = ops.rows[node] @ diffs
-    return DerivativeBundle(float(ux), float(uy), float(uxx), float(uyy), float(uxy))
+    wanted = np.flatnonzero((cloud.kinds == NodeKind.INTERIOR) | (cloud.kinds == NodeKind.ROBIN))
+    return _build_table(cloud, wanted, r_e, degenerate)
 
 
 @dataclass(frozen=True)
@@ -221,32 +273,21 @@ def stencil_quality(ops: DiffOperators, node: int) -> StencilQuality:
     per_row = []
     for m in range(5):
         fams = _family_imbalances(stencil.offsets, rows[m], h_tol)
-        if fams:
-            nearest = min(fams.keys())
-            per_row.append(fams[nearest])
-        else:
-            per_row.append(0.0)
-    L = _taylor_matrix(stencil.offsets / stencil.radius)
-    w2 = weight(stencil.distances, stencil.radius) ** 2
-    rcond = _equilibrated_rcond(L.T @ (w2[:, None] * L))
+        per_row.append(fams[min(fams)] if fams else 0.0)
     return StencilQuality(
         node=int(node),
         n_neighbors=len(stencil),
         centroid_offset=float(centroid),
         imbalance=tuple(per_row),
-        rcond=rcond,
+        rcond=stencil.rcond,
     )
 
 
 def write_operator_csv(ops: DiffOperators, path) -> None:
     """Diagnostic dump: one row per (node, neighbor) with all five coefficients."""
-    import csv
-
+    centers = np.repeat(ops.nodes, np.diff(ops.indptr))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "neighbor", "e1", "e2", "e3", "e4", "e5"])
-        for node in sorted(ops.rows):
-            stencil = ops.stencils[node]
-            rows = ops.rows[node]
-            for k, nbr in enumerate(stencil.neighbors):
-                writer.writerow([node, int(nbr)] + [repr(float(rows[m, k])) for m in range(5)])
+        for node, nbr, coef in zip(centers.tolist(), ops.neighbors.tolist(), ops.coef.T.tolist()):
+            writer.writerow([node, nbr] + [repr(c) for c in coef])

@@ -5,6 +5,8 @@ deliberately sharing no code with the package's assembly or physics
 modules; only the flux constant ``UNIT_ALPHA`` is read from the latter.
 """
 
+import math
+
 import numpy as np
 
 from gfdmflow.cloud import NodeKind
@@ -64,6 +66,28 @@ def oracle_residual(cloud, ops, model, specs, state_new, state_old, dt):
                     deriv += (nx * rows[0, k] + ny * rows[1, k]) * (u[int(j)] - u[host])
                 res[2 * i + offset] = a * u[host] + b * deriv - g
     return res
+
+
+def oracle_operator_rows(positions, center, r_e):
+    """Neighbors of ``center`` by a scan over every node, and its five
+    coefficient rows by a least-squares solve of the weighted Taylor system.
+
+    The weighted normal equations ``(L^T W^2 L) E = L^T W^2`` are the normal
+    equations of ``(W L) E = W``, which ``lstsq`` solves without forming them.
+    """
+    cx, cy = positions[center]
+    neighbors, taylor, weights = [], [], []
+    for j, (x, y) in enumerate(positions):
+        dx, dy = x - cx, y - cy
+        if j == center or dx * dx + dy * dy > r_e * r_e:
+            continue
+        q = math.hypot(dx, dy) / r_e
+        neighbors.append(j)
+        taylor.append([dx, dy, 0.5 * dx * dx, 0.5 * dy * dy, dx * dy])
+        weights.append(1.0 - 6.0 * q**2 + 8.0 * q**3 - 3.0 * q**4)
+    weighted = [[w * t for t in row] for w, row in zip(weights, taylor)]
+    rows, *_ = np.linalg.lstsq(np.array(weighted), np.diag(weights), rcond=None)
+    return np.array(neighbors, dtype=np.int64), rows
 
 
 def oracle_point_in_polygon(vertices, x, y):

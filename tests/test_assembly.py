@@ -301,7 +301,7 @@ class TestStructuralProperties:
 
         for i in map(int, cloud.ids_of_kind(NodeKind.INTERIOR)[:20]):
             stencil = ops.stencils[i]
-            lap = ops.laplacian_row(i)
+            lap = ops.rows[i][2] + ops.rows[i][3]
             nbr = stencil.neighbors
             k_h, mu_o, mu_w = pair_transmissibility_parts(np.full(len(nbr), i), nbr, model)
             sw_up = state_new.sw[upwind_nodes(state_new.p[nbr] - state_new.p[i], np.full(len(nbr), i), nbr)]

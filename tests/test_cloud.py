@@ -8,13 +8,13 @@ from gfdmflow import (
     NodeKind,
     StencilUnderdeterminedError,
     add_virtual_nodes,
-    find_stencil,
     generate_cartesian_cloud,
     generate_irregular_cloud,
     read_cloud_csv,
     write_cloud_csv,
 )
 from gfdmflow.cloud import Polygon
+from gfdmflow.operators import build_node_rows
 
 from conftest import build_layout_cloud, make_cloud
 
@@ -141,21 +141,26 @@ class TestIrregularGeneration:
             generate_irregular_cloud(cw, 1.0, seed=0)
 
 
+def stencil_of(cloud, center, r_e, degenerate="raise"):
+    """The stencil of one center, from the one-center operator table."""
+    return build_node_rows(cloud, center, r_e, degenerate)[0]
+
+
 class TestStencils:
     def test_unit_lattice_eight_neighbors(self):
         cloud = generate_cartesian_cloud(8, 8, 1, 1, WATERFLOOD_SIDES)
         center = int(np.flatnonzero((cloud.positions == [4.0, 4.0]).all(axis=1))[0])
-        stencil = find_stencil(cloud, center, 1.001 * math.sqrt(2.0))
+        stencil = stencil_of(cloud, center, 1.001 * math.sqrt(2.0))
         assert len(stencil) == 8
 
     def test_underdetermined_radius(self):
         cloud = generate_cartesian_cloud(8, 8, 1, 1, WATERFLOOD_SIDES)
         with pytest.raises(StencilUnderdeterminedError):
-            find_stencil(cloud, 30, 0.5)
+            stencil_of(cloud, 30, 0.5)
 
     def test_layout_boundary_neighbor_count(self, layout_no_virtuals):
         cloud, ids = layout_no_virtuals
-        stencil = find_stencil(cloud, ids["3"], 2.5)
+        stencil = stencil_of(cloud, ids["3"], 2.5)
         labels = {lab for lab, i in ids.items() if i in set(map(int, stencil.neighbors))}
         assert labels == {"1", "2", "4", "5", "6", "7", "8", "9", "10", "12", "13", "14"}
         assert len(stencil) == 12
@@ -163,14 +168,14 @@ class TestStencils:
     def test_nesting_property(self):
         cloud = generate_cartesian_cloud(12, 12, 1, 1, WATERFLOOD_SIDES)
         center = 60
-        small = find_stencil(cloud, center, 1.5)
-        large = find_stencil(cloud, center, 2.5)
+        small = stencil_of(cloud, center, 1.5)
+        large = stencil_of(cloud, center, 2.5)
         assert set(map(int, small.neighbors)) <= set(map(int, large.neighbors))
 
     def test_reflection_symmetric_offsets(self):
         cloud = generate_cartesian_cloud(8, 8, 1, 1, WATERFLOOD_SIDES)
         center = int(np.flatnonzero((cloud.positions == [4.0, 4.0]).all(axis=1))[0])
-        stencil = find_stencil(cloud, center, 2.001)
+        stencil = stencil_of(cloud, center, 2.001)
         mirrored = sorted(map(tuple, np.round(stencil.offsets * [-1, 1], 12)))
         original = sorted(map(tuple, np.round(stencil.offsets, 12)))
         assert mirrored == original
@@ -187,9 +192,9 @@ class TestStencils:
             expected = np.flatnonzero((dist <= r_e) & (np.arange(len(cloud)) != center))
             if len(expected) < 5:
                 with pytest.raises(StencilUnderdeterminedError):
-                    find_stencil(cloud, int(center), r_e)
+                    stencil_of(cloud, int(center), r_e, degenerate="inverse")
             else:
-                stencil = find_stencil(cloud, int(center), r_e)
+                stencil = stencil_of(cloud, int(center), r_e, degenerate="inverse")
                 assert np.array_equal(stencil.neighbors, expected)
 
 
@@ -203,6 +208,14 @@ class TestCloudInvariants:
             make_cloud([(0.0, 0.0)], [NodeKind.ROBIN], h=1.0)
         with pytest.raises(CloudError):
             make_cloud([(0.0, 0.0)], [NodeKind.ROBIN], h=1.0, normals=[(1.0, 1.0)])
+
+    def test_non_finite_position_rejected(self):
+        with pytest.raises(CloudError, match="node 1: position is not finite"):
+            make_cloud([(0.0, 0.0), (np.nan, 1.0)], [NodeKind.INTERIOR] * 2, h=1.0)
+
+    def test_one_dimensional_normals_rejected(self):
+        with pytest.raises(CloudError, match="shape"):
+            make_cloud([(0.0, 0.0), (0.0, 1.0)], [NodeKind.INTERIOR] * 2, h=1.0, normals=np.full(2, np.nan))
 
     def test_host_references_robin(self):
         with pytest.raises(CloudError, match="robin"):
