@@ -4,12 +4,12 @@ Usage, from the repository root:
 
     python3 bench/record.py --checkout ../parent --checkout . --runs 10
 
-For each workload (``--workload``, repeatable; default all three) the
+For each workload of ``BENCHMARK.json`` (or each ``--workload``) the
 recorder first times the machine-speed index, then runs
 ``perfbench/run.py --trace 0`` of every checkout ``--runs`` times, with
-seeds 1..runs.  Runs alternate between the checkouts and the order flips
-from round to round (A B, B A, A B, ...), so the checkouts see the same
-spells of a machine whose speed drifts.  It then appends, for each
+seeds 1..runs and the benchmark's ``run_seconds``.  Runs alternate between
+the checkouts and the order flips from round to round (A B, B A, A B, ...),
+so the checkouts see the same spells of a machine whose speed drifts.  It then appends, for each
 checkout, one entry to ``BENCH_<workload>.json`` in this repository's root.
 Entries are only ever appended.
 
@@ -37,16 +37,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("waterflood_4m_r2", "polygon_2m", "strip_ref_fdm")
 INDEX_CALLS = 20
 
 
 def speed_index() -> float:
     """Median seconds of one ``splu`` of the ``waterflood_4m_r2`` first Jacobian."""
     from scipy.sparse.linalg import splu
-    from workloads import WORKLOADS as SPECS, set_up
+    from workloads import WORKLOADS, set_up
 
-    wl = SPECS["waterflood_4m_r2"]
+    wl = WORKLOADS["waterflood_4m_r2"]
     s = set_up(wl, ROOT, wl.t_end)
     _, jac = s.system.residual_and_jacobian(s.x0, s.x0, s.tc.dt_init)
     splu(jac)  # warm-up
@@ -80,7 +79,7 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def machine_note(extra: str) -> str:
+def machine_note() -> str:
     import numpy
     import scipy
 
@@ -90,9 +89,8 @@ def machine_note(extra: str) -> str:
             cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
     except OSError:
         pass
-    note = (f"{cpu}; {len(os.sched_getaffinity(0))} cores; python {platform.python_version()}, "
+    return (f"{cpu}; {len(os.sched_getaffinity(0))} cores; python {platform.python_version()}, "
             f"numpy {numpy.__version__}, scipy {scipy.__version__}")
-    return f"{note}; {extra}" if extra else note
 
 
 def entry(checkout: Path, workload: str, runs: list[dict], index: float, note: str, seconds: float) -> dict:
@@ -120,30 +118,31 @@ def entry(checkout: Path, workload: str, runs: list[dict], index: float, note: s
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", action="append", type=Path, help="checkout to measure (repeatable; default: this one)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default: all")
+    parser.add_argument("--workload", action="append", choices=workloads, help="repeatable; default: all")
     parser.add_argument("--runs", type=int, default=10, help="perfbench runs per checkout and workload")
-    parser.add_argument("--seconds", type=float, default=30.0, help="perfbench --seconds")
-    parser.add_argument("--note", default="", help="appended to the machine note")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
     checkouts = [c.resolve() for c in args.checkout or [ROOT]]
     # the speed index runs this repository's code
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    note = machine_note(args.note)
-    for workload in args.workload or WORKLOADS:
+    note = machine_note()
+    for workload in args.workload or workloads:
         index = speed_index()
         print(f"{workload}: speed index {index * 1e3:.2f} ms", flush=True)
         runs = {c: [] for c in checkouts}
         for k in range(args.runs):
             for c in checkouts if k % 2 == 0 else checkouts[::-1]:
-                run = perfbench(c, workload, k + 1, args.seconds)
+                run = perfbench(c, workload, k + 1, seconds)
                 runs[c].append(run)
                 wall = run["metrics"]["wall_s"]["value"]
                 print(f"  {c.name} seed {k + 1}: wall_s {wall:.3f} correct {run['correct']}", flush=True)
         path = ROOT / f"BENCH_{workload}.json"
         entries = json.loads(path.read_text()) if path.exists() else []
-        entries += [entry(c, workload, runs[c], index, note, args.seconds) for c in checkouts]
+        entries += [entry(c, workload, runs[c], index, note, seconds) for c in checkouts]
         path.write_text(json.dumps(entries, indent=1) + "\n")
     return 0
 
