@@ -2,14 +2,14 @@
 
 Usage, from the repository root:
 
-    python3 bench/record.py --checkout ../parent --checkout . --runs 10
+    python3 bench/record.py --checkout ../parent --checkout .
 
-For each workload of ``BENCHMARK.json`` (or each ``--workload``) the
-recorder first times the machine-speed index, then runs
-``perfbench/run.py --trace 0`` of every checkout ``--runs`` times, with
-seeds 1..runs and the benchmark's ``run_seconds``.  Runs alternate between
-the checkouts and the order flips from round to round (A B, B A, A B, ...),
-so the checkouts see the same spells of a machine whose speed drifts.  It then appends, for each
+For each workload of ``BENCHMARK.json`` the recorder first times the
+machine-speed index, then runs ``perfbench/run.py --trace 0`` of every
+checkout ``RUNS`` times, with seeds 1..RUNS and the benchmark's
+``run_seconds``.  Runs alternate between the checkouts and the order flips
+from round to round (A B, B A, A B, ...), so the checkouts see the same
+spells of a machine whose speed drifts.  It then appends, for each
 checkout, one entry to ``BENCH_<workload>.json`` in this repository's root.
 Entries are only ever appended.
 
@@ -38,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INDEX_CALLS = 20
+RUNS = 10  # the fewest alternating pairs that can show a difference
 
 
 def speed_index() -> float:
@@ -122,19 +123,17 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", action="append", type=Path, help="checkout to measure (repeatable; default: this one)")
-    parser.add_argument("--workload", action="append", choices=workloads, help="repeatable; default: all")
-    parser.add_argument("--runs", type=int, default=10, help="perfbench runs per checkout and workload")
     args = parser.parse_args(argv)
     seconds = benchmark["run_seconds"]
     checkouts = [c.resolve() for c in args.checkout or [ROOT]]
     # the speed index runs this repository's code
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     note = machine_note()
-    for workload in args.workload or workloads:
+    for workload in workloads:
         index = speed_index()
         print(f"{workload}: speed index {index * 1e3:.2f} ms", flush=True)
         runs = {c: [] for c in checkouts}
-        for k in range(args.runs):
+        for k in range(RUNS):
             for c in checkouts if k % 2 == 0 else checkouts[::-1]:
                 run = perfbench(c, workload, k + 1, seconds)
                 runs[c].append(run)

@@ -238,15 +238,15 @@ class ImplicitSystem(PairFluxSystem):
         self.ops = ops
         self.specs = dict(specs)
 
-        kinds = cloud.kinds
-        flow_ids = np.flatnonzero((kinds == NodeKind.INTERIOR) | (kinds == NodeKind.ROBIN))
+        flow_ids = np.flatnonzero((cloud.kinds == NodeKind.INTERIOR) | (cloud.kinds == NodeKind.ROBIN))
         dirichlet_ids = cloud.ids_of_kind(NodeKind.DIRICHLET)
         virtual_ids = cloud.ids_of_kind(NodeKind.VIRTUAL)
         if len(flow_ids) + len(dirichlet_ids) + len(virtual_ids) != len(cloud):
             raise SetupError("some node has no assembly rule (unknown kind)")
         if not np.array_equal(ops.nodes, flow_ids):
             missing = np.setdiff1d(flow_ids, ops.nodes)[:5].tolist()
-            raise SetupError(f"operators must cover exactly the flow nodes (missing {missing})")
+            extra = np.setdiff1d(ops.nodes, flow_ids)[:5].tolist()
+            raise SetupError(f"operators must cover exactly the flow nodes (missing {missing}, extra {extra})")
 
         # the pairs are the table's entries: each flow node with its stencil
         pair_i = np.repeat(ops.nodes, np.diff(ops.indptr))

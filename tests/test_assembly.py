@@ -90,6 +90,16 @@ class TestRowStructure:
         with pytest.raises(SetupError):
             ImplicitSystem(cloud, ops, model, bad)
 
+    def test_operators_of_another_cloud_rejected(self):
+        cloud, _, model, specs = waterflood_setup()
+        # a wider cloud's table covers node ids this cloud lacks; a narrower one misses some
+        _, wider, _, _ = waterflood_setup(width=24.0)
+        with pytest.raises(SetupError, match=r"missing \[\], extra \[12, "):
+            ImplicitSystem(cloud, wider, model, specs)
+        _, narrower, _, _ = waterflood_setup(width=12.0)
+        with pytest.raises(SetupError, match=r"missing \[9, 10, 11\], extra \[\]"):
+            ImplicitSystem(cloud, narrower, model, specs)
+
     def test_radius_too_small_for_virtual(self):
         cloud = generate_cartesian_cloud(24, 16, 4, 4, SIDES)
         cloud = add_virtual_nodes(cloud, 12.0)  # farther than the radius reaches
