@@ -192,7 +192,13 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
         sl = slice(indptr[k], indptr[k + 1])
         L_raw = _taylor_matrix(offsets[sl])
         A_raw = L_raw.T @ (w2[sl, None] * L_raw)
-        coef[:, sl] = np.linalg.inv(A_raw) @ (L_raw * w2[sl, None]).T
+        try:
+            coef[:, sl] = np.linalg.inv(A_raw) @ (L_raw * w2[sl, None]).T
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateStencilError(
+                f"degenerate stencil at node {centers[k]}: rcond={rcond[k]:.2e} "
+                "and the diagnostic inverse is singular"
+            ) from exc
     if stop < len(centers):
         if under[stop]:
             raise StencilUnderdeterminedError(

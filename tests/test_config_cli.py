@@ -370,6 +370,21 @@ class TestDiagnoseCommand:
             assert main(["diagnose", str(tiny_config_path), "--nodes", selector]) == 3
             assert repr(selector) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, node", [([], 4), (["--degenerate", "inverse"], 108)], ids=["raise", "inverse"]
+    )
+    def test_singular_stencil_exit_code(self, tmp_path, monkeypatch, capsys, flags, node):
+        # at r = 1.001 this jittered cloud flags node 4 first; the diagnostic
+        # inverse continues past it up to node 108, whose raw system is
+        # exactly singular
+        text = (CONFIGS / "waterflood_4m.cfg").read_text()
+        text = text.replace("type = cartesian", "type = irregular\nseed = 3\njitter = 0.3")
+        cfg = tmp_path / "jittered.cfg"
+        cfg.write_text(text)
+        monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path / "out"))
+        assert main(["diagnose", str(cfg), *flags]) == 3
+        assert f"degenerate stencil at node {node}:" in capsys.readouterr().err
+
     def test_operator_dump_flag(self, tiny_config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path))
         rc = main(["diagnose", str(tiny_config_path), "--nodes", "all", "--dump-operators"])

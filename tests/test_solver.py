@@ -165,6 +165,102 @@ class TestDirectSolve:
             solver.direct_solve(singular, np.ones(3))
 
 
+def random_linear_system(system, cloud, seed):
+    """A Jacobian and Newton right-hand side at a random state."""
+    rng = np.random.default_rng(seed)
+    x = SimState(rng.uniform(10, 15, len(cloud)), rng.uniform(0.2, 0.8, len(cloud))).to_vector()
+    residual, jac = system.residual_and_jacobian(x, uniform_state(cloud).to_vector(), 0.5)
+    return jac, -residual
+
+
+def fresh_natural_solve(jac, rhs):
+    """The exact path spelled out: MMD order, then a NATURAL factorization."""
+    a = jac.tocsc()
+    q = np.argsort(spla.splu(a, permc_spec="MMD_AT_PLUS_A", relax=0).perm_c)
+    permuted = a[q][:, q]
+    permuted.sort_indices()
+    delta = np.empty(len(rhs))
+    delta[q] = spla.splu(permuted, permc_spec="NATURAL", relax=0).solve(rhs[q])
+    return delta
+
+
+class TestLaggedSolve:
+    """``direct_solve`` holds a dense-fill LU and preconditions GMRES by it."""
+
+    @pytest.fixture
+    def held_system(self):
+        # 40 m x 16 m at r = 3.001: 86 LU entries per unknown, above KEEP_FILL
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+        solver._held = None
+        yield ImplicitSystem(cloud, ops, model, specs), cloud
+        solver._held = None
+
+    def test_held_jacobian_returns_exact_lu_answer(self, held_system):
+        jac, rhs = random_linear_system(*held_system, seed=1)
+        exact = solver.direct_solve(jac, rhs)
+        held = solver._held
+        assert held is not None and solver._same_index_buffers(held, jac)
+
+        # the preconditioned operator is the identity: GMRES breaks down at
+        # its first step and must stop there, not divide by H[1, 0]
+        steps = []
+
+        class CountingLU:
+            def solve(self, v):
+                steps.append(1)
+                return held.lu.solve(v)
+
+        ordering = solver._ordering
+        with np.errstate(all="raise"):
+            x = solver._lagged_gmres(ordering.permuted(jac), rhs[ordering.q], CountingLU())
+            again = solver.direct_solve(jac, rhs)
+        assert steps == [1]
+        assert solver._held is held  # accepted without refactoring
+        np.testing.assert_allclose(x[np.argsort(ordering.q)], exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(again, exact, rtol=1e-12, atol=0)
+
+    def test_exact_breakdown_stops_before_dividing(self):
+        # A z = b exactly after one step, so H[1, 0] is exactly zero
+        a = sp.csc_matrix(np.diag([2.0, 4.0, 8.0]))
+        lu = spla.splu(a, permc_spec="NATURAL")
+        with np.errstate(all="raise"):
+            x = solver._lagged_gmres(a, np.array([1.0, 0.0, 0.0]), lu)
+        assert np.array_equal(x, [0.5, 0.0, 0.0])
+
+    def test_distant_held_lu_meets_residual_target(self, held_system):
+        far_jac, far_rhs = random_linear_system(*held_system, seed=2)
+        solver.direct_solve(far_jac, far_rhs)
+        system, cloud = held_system
+        # pure injection state against the random one the LU came from
+        x = uniform_state(cloud, p=15.0, sw=0.8).to_vector()
+        residual, jac = system.residual_and_jacobian(x, uniform_state(cloud).to_vector(), 2.0)
+        assert solver._same_index_buffers(solver._held, jac)
+        delta = solver.direct_solve(jac, -residual)
+        assert np.linalg.norm(jac @ delta + residual) <= solver.GMRES_RTOL * np.linalg.norm(residual)
+
+    def test_singular_refactorization_raises(self, held_system):
+        jac, rhs = random_linear_system(*held_system, seed=3)
+        solver.direct_solve(jac, rhs)
+        assert solver._held is not None
+        data = jac.data.copy()
+        data[jac.indices == 7] = 0.0  # zero one row on the held index buffers
+        singular = sp.csc_matrix((data, jac.indices, jac.indptr), shape=jac.shape)
+        assert solver._same_index_buffers(solver._held, singular)
+        with pytest.raises(LinearSolveError):
+            solver.direct_solve(singular, np.ones(len(rhs)))
+        assert solver._held is None
+
+    def test_low_fill_pattern_takes_exact_path(self):
+        # the five-point limit (27 LU entries per unknown) stays below
+        # KEEP_FILL: no LU is held and every call is a fresh NATURAL solve
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=1.001)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        for seed in (4, 5):
+            jac, rhs = random_linear_system(system, cloud, seed)
+            assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
+            assert solver._held is None
+
+
 class TestNewtonStep:
     def test_fixed_point_stays(self):
         system, cloud = small_system()
@@ -301,6 +397,42 @@ class TestSimulate:
         snaps_b, report_b = run_once()
         assert report_a.steps == report_b.steps
         assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
+
+    def test_march_independent_of_held_lu(self):
+        # a dense-fill pattern, so the march reuses its LU; between the two
+        # marches a solve close to the march's first one leaves an LU held
+        # that would precondition that first solve
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        x0 = uniform_state(cloud).to_vector()
+        tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
+        snaps_a, report_a = simulate(system, x0, tc)
+        assert solver._held is None
+        residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
+        solver.direct_solve(jac, -residual)
+        assert solver._held is not None
+        snaps_b, report_b = simulate(system, x0, tc)
+        assert report_a.steps == report_b.steps
+        assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
+
+    def test_failed_march_drops_held_lu(self):
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+
+        class FailingSystem(ImplicitSystem):
+            calls = 0
+
+            def residual_and_jacobian(self, x, x_old, dt):
+                self.calls += 1
+                if self.calls > 2:
+                    raise RuntimeError("assembly failed")
+                return super().residual_and_jacobian(x, x_old, dt)
+
+        system = FailingSystem(cloud, ops, model, specs)
+        tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
+        with pytest.raises(RuntimeError, match="assembly failed"):
+            simulate(system, uniform_state(cloud).to_vector(), tc)
+        assert system.calls == 3
+        assert solver._held is None
 
     def test_report_totals_and_csv(self, tmp_path):
         system, cloud = small_system()
