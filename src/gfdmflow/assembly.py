@@ -139,9 +139,10 @@ class PairFluxSystem:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _pair_fluxes(self, p, sw, with_jac: bool):
-        """Oil and water flux of every pair and, with ``with_jac``, their
-        Jacobian entries as an ``(m, 8)`` array in :meth:`_pattern` order.
+    def _pair_fluxes(self, p, sw, tan=None):
+        """Oil and water flux of every pair; given ``tan``, a zeroed
+        ``(m, 8)`` array, also writes their Jacobian entries into it in
+        :meth:`_pattern` order.
 
         The relative permeabilities are evaluated once per node, on duals
         seeded in Sw; each pair takes them at its upwind node.  Given the
@@ -152,9 +153,9 @@ class PairFluxSystem:
         pi, pj = self.pair_i, self.pair_j
         dp = p[pj] - p[pi]
         up = upwind_nodes(dp, pi, pj)
+        with_jac = tan is not None
         sw = dual.seed(sw, 0, 1) if with_jac else sw
         fluxes = []
-        tan = np.zeros((len(pi), 8)) if with_jac else None
         for k, (kr, mu) in enumerate(((kro(sw, self.model), self.pair_mu_o), (krw(sw, self.model), self.pair_mu_w))):
             lam = dual.value(kr)[up] / mu
             fluxes.append(lam * dp * self.pair_coef)
@@ -163,7 +164,7 @@ class PairFluxSystem:
                 tan[:, 4 * k] = -lam_c
                 tan[:, 4 * k + 1] = lam_c
                 tan[np.arange(len(pi)), 4 * k + 2 + (up == pj)] = kr.tan[up, 0] / mu * dp * self.pair_coef
-        return fluxes, tan
+        return fluxes
 
     def _accumulations(self, p, sw, p_old, sw_old, dt, with_jac: bool):
         f = self.flow_ids
@@ -181,7 +182,14 @@ class PairFluxSystem:
     def _evaluate(self, x, x_old, dt, with_jac: bool):
         p, sw = x[0::2], x[1::2]
         p_old, sw_old = x_old[0::2], x_old[1::2]
-        (f_o, f_w), pair_tan = self._pair_fluxes(p, sw, with_jac)
+        data = tan = None
+        if with_jac:
+            # every contribution in one buffer, so the pair tangents, the
+            # bulk of it, are written in place and never copied
+            m, n_acc = 8 * len(self.pair_i), 4 * len(self.flow_ids)
+            data = np.zeros(m + n_acc + len(self.term_coef) + len(self.ref_coef))
+            tan = data[:m].reshape(-1, 8)
+        f_o, f_w = self._pair_fluxes(p, sw, tan)
         acc_o, acc_w = self._accumulations(p, sw, p_old, sw_old, dt, with_jac)
 
         residual = np.zeros(self.n_unknowns)
@@ -197,8 +205,9 @@ class PairFluxSystem:
 
         if not with_jac:
             return residual, None
-        acc_data = np.column_stack([-acc_o.tan, -acc_w.tan]).ravel()
-        return residual, self._scatter(np.concatenate([pair_tan.ravel(), acc_data, self.term_coef, self.ref_coef]))
+        data[m : m + n_acc] = np.column_stack([-acc_o.tan, -acc_w.tan]).ravel()
+        data[m + n_acc :] = np.concatenate([self.term_coef, self.ref_coef])
+        return residual, self._scatter(data)
 
     def _scatter(self, data):
         """CSC matrix of the contributions ``data``, laid out as :meth:`_pattern`."""
