@@ -145,8 +145,8 @@ class _FrozenOrdering:
 # is cheap next to the per-step cost of the Krylov loop.
 KEEP_FILL = 40
 # The lagged solve gives up after this many GMRES steps (one triangular solve
-# pair and one product with the Jacobian each) and factors afresh; a Newton
-# march needs about nine steps per solve on the 4 m cloud at r = 2.001.
+# pair and one product with the Jacobian each) and factors afresh; an
+# accepted solve takes about eight on the 4 m cloud at r = 2.001.
 GMRES_STEPS = 10
 # A lagged solve is accepted only on a true residual ||b - A x|| at or below
 # this share of ||b||, far below the Newton tolerance's scale.
