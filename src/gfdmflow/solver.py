@@ -10,11 +10,14 @@ single Newton/time-stepping implementation.  Convergence is tested on the
 infinity norm of the full residual vector (pressure and saturation rows
 jointly); time-step cutting is the sole globalization mechanism.
 
-The linear solve is a sparse LU on a frozen pattern.  The assembly returns
-CSC Jacobians that share one set of index arrays over a whole march, so
-:func:`direct_solve` computes SuperLU's fill-reducing column order once per
-pattern and then factors the symmetrically permuted matrix in natural
-order, without relaxed supernodes.  Where the LU fills densely it is kept
+The linear solve is an LU on a frozen pattern.  The assembly returns CSC
+Jacobians that share one set of index arrays over a whole march, so
+:func:`direct_solve` compiles a plan once per pattern.  A pattern whose
+natural band is narrow, as on the FDM strip, is factored in LAPACK band
+storage (``gbsv``).  Any other pattern takes SuperLU: its fill-reducing
+column order is computed once, and the symmetrically permuted matrix is
+factored in natural order, without relaxed supernodes.  Where that LU
+fills densely it is kept
 and preconditions GMRES on the next Jacobians of the march (a lagged
 preconditioner in the sense of Knoll & Keyes, J. Comput. Phys. 193, 2004,
 section 3); a new factorization is made only when that misses its residual
@@ -32,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgbsv
 
 from .errors import LinearSolveError, TimeStepCollapseError
 
@@ -139,10 +143,59 @@ class _FrozenOrdering:
         return sp.csc_matrix((a.data[self.perm_data_map], self.perm_indices, self.perm_indptr), shape=a.shape)
 
 
-# An LU is kept for reuse only when it holds more than this many entries per
-# unknown.  Measured: 20 on the FDM strip, 72 / 190 / 396 on the 4 m cloud at
-# r = 1.001 / 2.001 / 3.001, 144 on the polygon.  Below it a factorization
-# is cheap next to the per-step cost of the Krylov loop.
+@dataclass(frozen=True)
+class _BandedPattern:
+    """A CSC pattern with a narrow natural band: ``kl`` sub- and ``ku``
+    super-diagonals, the slot of each entry of ``A.data`` in LAPACK band
+    storage, and the band array itself (Fortran order), which every solve
+    refills and ``gbsv`` factors in place."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    kl: int
+    ku: int
+    slots: np.ndarray
+    band: np.ndarray
+
+    @classmethod
+    def compile(cls, a, offsets, kl: int, ku: int) -> "_BandedPattern":
+        # A[i, j] sits at band[kl + ku + i - j, j]; slots index the band's
+        # Fortran-order storage, column j starting at j * (2 kl + ku + 1)
+        rows = 2 * kl + ku + 1
+        cols = np.repeat(np.arange(a.shape[1], dtype=np.intp), np.diff(a.indptr))
+        slots = kl + ku + offsets + cols * rows
+        return cls(a.indptr, a.indices, kl, ku, slots, np.zeros((rows, a.shape[1]), order="F"))
+
+    matches = _FrozenOrdering.matches
+
+    def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        band = self.band
+        band.fill(0.0)
+        band.reshape(-1, order="F")[self.slots] = data
+        _, _, x, info = dgbsv(self.kl, self.ku, band, rhs, overwrite_ab=1)
+        if info != 0:
+            raise LinearSolveError(f"banded factorization failed: LAPACK gbsv info {info}")
+        return x
+
+
+def _compile_pattern(a) -> _FrozenOrdering | _BandedPattern:
+    """The plan of a new pattern: banded when LAPACK's band LU needs at most
+    ``KEEP_FILL`` entries per unknown (``2 kl + ku + 1``), else SuperLU on
+    a frozen fill-reducing order."""
+    offsets = a.indices - np.repeat(np.arange(a.shape[1], dtype=np.intp), np.diff(a.indptr))
+    kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    if 2 * kl + ku + 1 <= KEEP_FILL:
+        return _BandedPattern.compile(a, offsets, kl, ku)
+    return _FrozenOrdering.compile(a)
+
+
+# One rule for cheap LUs.  A pattern whose natural band needs at most this
+# many entries per unknown is factored banded, and a SuperLU factorization
+# is kept for reuse only when it holds more than this many.  Measured natural
+# band (2 kl + ku + 1) / SuperLU LU entries per unknown: 34 / 20 on the FDM
+# strip, 6402 / 190 on the 4 m cloud at r = 2.001 (72 and 396 LU entries at
+# r = 1.001 and 3.001), 25 574 / 144 on the polygon.  Below it a
+# factorization is cheap next to the per-step cost of the Krylov loop.
 KEEP_FILL = 40
 # The lagged solve gives up after this many GMRES steps (one triangular solve
 # pair and one product with the Jacobian each) and factors afresh; an
@@ -164,10 +217,11 @@ class _HeldLU:
     lu: spla.SuperLU
 
 
-# The ordering of the most recent pattern: a Newton march solves one frozen
+# The plan of the most recent pattern: a Newton march solves one frozen
 # pattern over and over.  Results never depend on it, since every solve
-# factors the permuted matrix in natural order, cached or not.
-_ordering: _FrozenOrdering | None = None
+# refills the band, or factors the permuted matrix in natural order, cached
+# or not.
+_ordering: _FrozenOrdering | _BandedPattern | None = None
 # The LU a march's next solve may reuse; :func:`simulate` drops it when a
 # march starts and when it ends.
 _held: _HeldLU | None = None
@@ -223,48 +277,61 @@ def _lagged_gmres(a, b: np.ndarray, lu) -> np.ndarray | None:
 
 
 def direct_solve(jac, rhs):
-    """Default linear solver: sparse LU on a frozen, fill-reducing ordering,
-    reused across the solves of a march.
+    """Default linear solver: an LU on a plan compiled once per sparsity
+    pattern, banded where the natural band is narrow, else sparse on a
+    frozen fill-reducing ordering and reused across the solves of a march.
 
-    The first call for a sparsity pattern factors ``jac`` once with SuperLU's
-    ``MMD_AT_PLUS_A`` order, inverts its column permutation to ``q`` and
-    compiles the map from ``jac.data`` to the data of ``jac[q][:, q]``.  One
-    pattern is kept, keyed on the index arrays of ``jac``: the same buffers,
-    else equal contents.  The permuted matrix is factored in ``NATURAL``
-    order without relaxed supernodes (``relax=0``: relaxed supernodes keep
-    the fill but take about 8x the time on jittered clouds).
+    One plan is kept, keyed on the index arrays of ``jac``: the same
+    buffers, else equal contents.  A new pattern's plan reads its natural
+    band, ``kl`` sub- and ``ku`` super-diagonals, off the index arrays.
 
-    A factorization with more than ``KEEP_FILL`` entries per unknown is held.
-    The next call on the same index buffers first runs :func:`_lagged_gmres`
-    preconditioned by it and factors afresh only when that misses
-    ``GMRES_RTOL`` within ``GMRES_STEPS``; the new LU replaces the old one,
-    which is released first.  A sparser LU is never held, so such patterns
-    take the exact path on every call.  The answer thus depends on the held
-    LU; :func:`simulate` drops it when a march starts and ends, so a march's
-    result does not depend on what ran before it.  Raises
-    :class:`LinearSolveError` when the factorization fails or the update is
-    not finite.
+    When LAPACK's band LU needs at most ``KEEP_FILL`` entries per unknown
+    (``2 kl + ku + 1``: 34 on the FDM strip, thousands on the node clouds),
+    the plan maps ``jac.data`` into band storage.  Each call zeroes the
+    plan's band array, scatters the data into it and solves with ``gbsv``,
+    in natural order; nothing is held between calls.
+
+    Any other pattern is factored once with SuperLU's ``MMD_AT_PLUS_A``
+    order; the plan inverts its column permutation to ``q`` and compiles
+    the map from ``jac.data`` to the data of ``jac[q][:, q]``.  Each call
+    factors that permuted matrix in ``NATURAL`` order without relaxed
+    supernodes (``relax=0``: relaxed supernodes keep the fill but take
+    about 8x the time on jittered clouds).  A factorization with more than
+    ``KEEP_FILL`` entries per unknown is held.  The next call on the same
+    index buffers first runs :func:`_lagged_gmres` preconditioned by it and
+    factors afresh only when that misses ``GMRES_RTOL`` within
+    ``GMRES_STEPS``; the new LU replaces the old one, which is released
+    first.  A sparser LU is never held, so such patterns take the exact path
+    on every call.  The answer thus depends on the held LU; :func:`simulate`
+    drops it when a march starts and ends, so a march's result does not
+    depend on what ran before it.
+
+    Raises :class:`LinearSolveError` when the factorization fails (a
+    Jacobian without stored entries included) or the update is not finite.
     """
     global _ordering, _held
     a = jac.tocsc()
     a.sum_duplicates()
     try:
-        ordering = _ordering
-        if ordering is None or not ordering.matches(a):
+        plan = _ordering
+        if plan is None or not plan.matches(a):
             _held = None
-            ordering = _ordering = _FrozenOrdering.compile(a)
-        permuted, b = ordering.permuted(a), rhs[ordering.q]
-        y = None
-        if _held is not None and _same_index_buffers(_held, a):
-            y = _lagged_gmres(permuted, b, _held.lu)
-        if y is None:
-            _held = None
-            lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
-            y = lu.solve(b)
-            if lu.nnz > KEEP_FILL * len(b):
-                _held = _HeldLU(a.indptr, a.indices, lu)
-        delta = np.empty(len(rhs))
-        delta[ordering.q] = y
+            plan = _ordering = _compile_pattern(a)
+        if isinstance(plan, _BandedPattern):
+            delta = plan.solve(a.data, rhs)
+        else:
+            permuted, b = plan.permuted(a), rhs[plan.q]
+            y = None
+            if _held is not None and _same_index_buffers(_held, a):
+                y = _lagged_gmres(permuted, b, _held.lu)
+            if y is None:
+                _held = None
+                lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
+                y = lu.solve(b)
+                if lu.nnz > KEEP_FILL * len(b):
+                    _held = _HeldLU(a.indptr, a.indices, lu)
+            delta = np.empty(len(rhs))
+            delta[plan.q] = y
     except (RuntimeError, ValueError) as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(delta)):

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gfdmflow import (
+    FdmGrid,
+    FdmSystem,
     ImplicitSystem,
     LinearSolveError,
     NodeKind,
@@ -259,6 +261,131 @@ class TestLaggedSolve:
             jac, rhs = random_linear_system(system, cloud, seed)
             assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
             assert solver._held is None
+
+
+def strip_system(nx=41, ny=5):
+    """A small FDM strip, nodes y-fastest: its natural band is kl = ku = 2 ny + 1."""
+    grid = FdmGrid(nx=nx, ny=ny, dx=1.0, dy=1.0)
+    sides = {
+        "left": SegmentBC.dirichlet(15.0, 0.8),
+        "right": SegmentBC.dirichlet(10.0, 0.2),
+        "top": SegmentBC.noflow(),
+        "bottom": SegmentBC.noflow(),
+    }
+    system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), sides)
+    return system, SimState(np.full(grid.n_nodes, 10.0), np.full(grid.n_nodes, 0.2)).to_vector()
+
+
+def random_strip_system(system, x0, seed):
+    """A strip Jacobian and Newton right-hand side at a random state."""
+    rng = np.random.default_rng(seed)
+    n = len(x0) // 2
+    x = SimState(rng.uniform(10, 15, n), rng.uniform(0.2, 0.8, n)).to_vector()
+    residual, jac = system.residual_and_jacobian(x, x0, 0.5)
+    return jac, -residual
+
+
+def band_matrix(n, kl, ku, seed=0):
+    """A diagonally dominant CSC matrix with exactly ``kl`` and ``ku`` off-diagonals."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-kl, ku + 1)
+    diags = [rng.uniform(-1, 1, n - abs(k)) + (2.0 * (kl + ku + 1) if k == 0 else 0.0) for k in offsets]
+    return sp.diags(diags, offsets, format="csc")
+
+
+class TestBandedSolve:
+    """``direct_solve`` factors a narrow natural band with LAPACK's ``gbsv``."""
+
+    def test_strip_is_banded_and_clouds_are_not(self):
+        system, x0 = strip_system()
+        jac, rhs = random_strip_system(system, x0, seed=1)
+        solver.direct_solve(jac, rhs)
+        plan = solver._ordering
+        assert isinstance(plan, solver._BandedPattern)
+        assert (plan.kl, plan.ku) == (11, 11)
+        assert plan.band.shape == (2 * 11 + 11 + 1, len(rhs)) and plan.band.flags.f_contiguous
+        for mult in (1.001, 2.001):
+            cloud_system, cloud = small_system(mult=mult)
+            solver.direct_solve(*random_linear_system(cloud_system, cloud, seed=1))
+            assert isinstance(solver._ordering, solver._FrozenOrdering)
+
+    @pytest.mark.parametrize("extra_ku, banded", [(0, True), (1, False)])
+    def test_keep_fill_bounds_the_band(self, extra_ku, banded):
+        # 2 kl + ku + 1 = KEEP_FILL is the widest banded pattern
+        kl = (solver.KEEP_FILL - 1) // 3
+        ku = solver.KEEP_FILL - 1 - 2 * kl + extra_ku
+        a = band_matrix(80, kl, ku)
+        rhs = np.linspace(1.0, 2.0, 80)
+        got = solver.direct_solve(a, rhs)
+        assert isinstance(solver._ordering, solver._BandedPattern) == banded
+        np.testing.assert_allclose(got, np.linalg.solve(a.toarray(), rhs), rtol=1e-12, atol=0)
+
+    def test_matches_dense_solve(self):
+        system, x0 = strip_system()
+        for seed in (2, 3):
+            jac, rhs = random_strip_system(system, x0, seed)
+            want = np.linalg.solve(jac.toarray(), rhs)
+            assert np.linalg.norm(solver.direct_solve(jac, rhs) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_same_buffers_keep_the_plan(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(a):
+            compiled.append(1)
+            return compile_pattern(a)
+
+        compile_pattern = solver._compile_pattern
+        monkeypatch.setattr(solver, "_compile_pattern", counting_compile)
+        monkeypatch.setattr(solver, "_ordering", None)
+        system, x0 = strip_system()
+        jac, rhs = random_strip_system(system, x0, seed=4)
+        solver.direct_solve(jac, rhs)
+        plan = solver._ordering
+        jac2, rhs2 = random_strip_system(system, x0, seed=5)
+        assert solver._same_index_buffers(jac, jac2)
+        solver.direct_solve(jac2, rhs2)
+        assert solver._ordering is plan and compiled == [1]
+
+    def test_result_independent_of_cached_plan(self, monkeypatch):
+        system, x0 = strip_system()
+        jac, rhs = random_strip_system(system, x0, seed=6)
+        other, other_rhs = random_strip_system(system, x0, seed=7)
+        solver.direct_solve(other, other_rhs)  # leaves another factorization in the band
+        warm = solver.direct_solve(jac, rhs)
+        monkeypatch.setattr(solver, "_ordering", None)
+        cold = solver.direct_solve(jac, rhs)
+        assert np.array_equal(warm, cold)
+
+    def test_empty_jacobian_raises(self):
+        with pytest.raises(LinearSolveError):
+            solver.direct_solve(sp.csc_matrix((3, 3)), np.ones(3))
+
+    def test_singular_band_raises(self):
+        system, x0 = strip_system()
+        jac, rhs = random_strip_system(system, x0, seed=8)
+        data = jac.data.copy()
+        data[jac.indices == 7] = 0.0  # zero one row, pattern kept
+        singular = sp.csc_matrix((data, jac.indices, jac.indptr), shape=jac.shape)
+        with pytest.raises(LinearSolveError, match="gbsv"):
+            solver.direct_solve(singular, rhs)
+
+    def test_overflowing_update_raises(self):
+        a = sp.csc_matrix(np.diag([1e-300, 1.0, 1.0]))
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            solver.direct_solve(a, np.array([1e300, 1.0, 1.0]))
+        assert isinstance(solver._ordering, solver._BandedPattern)
+
+    def test_march_matches_fresh_superlu(self):
+        system, x0 = strip_system()
+        tc = TimeControl(dt_init=0.01, dt_max=0.25, t_end=5.0)
+        snaps_a, report_a = simulate(system, x0, tc)
+        assert isinstance(solver._ordering, solver._BandedPattern)
+        snaps_b, report_b = simulate(system, x0, tc, linear_solver=fresh_natural_solve)
+        assert [(s.t, s.dt, s.newton_iters) for s in report_a.steps] == [
+            (s.t, s.dt, s.newton_iters) for s in report_b.steps
+        ]
+        assert report_a.cut_events == report_b.cut_events
+        np.testing.assert_allclose(snaps_a[5.0], snaps_b[5.0], rtol=0, atol=1e-12)
 
 
 class TestNewtonStep:
