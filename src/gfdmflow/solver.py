@@ -16,12 +16,11 @@ Jacobians that share one set of index arrays over a whole march, so
 natural band is narrow, as on the FDM strip, is factored in LAPACK band
 storage (``gbsv``).  Any other pattern takes SuperLU: its fill-reducing
 column order is computed once, and the symmetrically permuted matrix is
-factored in natural order, without relaxed supernodes.  Where that LU
-fills densely it is kept
-and preconditions GMRES on the next Jacobians of the march (a lagged
-preconditioner in the sense of Knoll & Keyes, J. Comput. Phys. 193, 2004,
-section 3); a new factorization is made only when that misses its residual
-target.  A solve thus depends on the LU held from earlier solves, but
+factored in natural order, without relaxed supernodes.  Where that LU fills
+densely it is kept and preconditions GMRES on the next Jacobians of the
+march (a lagged preconditioner in the sense of Knoll & Keyes, J. Comput.
+Phys. 193, 2004, section 3); a new factorization is made only when that
+misses its residual target.  A solve thus depends on the LU held from earlier solves, but
 :func:`simulate` starts every march without one and drops it at the end:
 a march's result does not depend on what ran before it.
 """
@@ -158,12 +157,12 @@ class _BandedPattern:
     band: np.ndarray
 
     @classmethod
-    def compile(cls, a, offsets, kl: int, ku: int) -> "_BandedPattern":
+    def compile(cls, a, kl: int, ku: int) -> "_BandedPattern":
         # A[i, j] sits at band[kl + ku + i - j, j]; slots index the band's
         # Fortran-order storage, column j starting at j * (2 kl + ku + 1)
         rows = 2 * kl + ku + 1
-        cols = np.repeat(np.arange(a.shape[1], dtype=np.intp), np.diff(a.indptr))
-        slots = kl + ku + offsets + cols * rows
+        cols = _columns(a).astype(np.intp)
+        slots = (kl + ku + a.indices - cols) + cols * rows
         return cls(a.indptr, a.indices, kl, ku, slots, np.zeros((rows, a.shape[1]), order="F"))
 
     matches = _FrozenOrdering.matches
@@ -178,14 +177,20 @@ class _BandedPattern:
         return x
 
 
+def _columns(a) -> np.ndarray:
+    """The column of each stored entry of the CSC matrix ``a``."""
+    return np.repeat(np.arange(a.shape[1], dtype=a.indices.dtype), np.diff(a.indptr))
+
+
 def _compile_pattern(a) -> _FrozenOrdering | _BandedPattern:
     """The plan of a new pattern: banded when LAPACK's band LU needs at most
     ``KEEP_FILL`` entries per unknown (``2 kl + ku + 1``), else SuperLU on
     a frozen fill-reducing order."""
-    offsets = a.indices - np.repeat(np.arange(a.shape[1], dtype=np.intp), np.diff(a.indptr))
+    offsets = a.indices - _columns(a)
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    del offsets  # not held through the MMD factorization, a march's memory peak
     if 2 * kl + ku + 1 <= KEEP_FILL:
-        return _BandedPattern.compile(a, offsets, kl, ku)
+        return _BandedPattern.compile(a, kl, ku)
     return _FrozenOrdering.compile(a)
 
 
