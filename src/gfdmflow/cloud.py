@@ -285,6 +285,36 @@ def generate_cartesian_cloud(
     )
 
 
+def _conflicts(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray, min_dist: float) -> np.ndarray:
+    """Which pairs ``(a[i], b[j])`` lie closer than ``min_dist``, by ``hypot``."""
+    return np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]) < min_dist
+
+
+def _min_distance_fill(fixed: np.ndarray, candidates: np.ndarray, min_dist: float) -> np.ndarray:
+    """Mask of the candidates that a greedy scan in their order accepts.
+
+    The scan keeps a candidate unless it lies closer than ``min_dist`` to a
+    ``fixed`` node or to a candidate kept before it.  kd-trees find every
+    pair within a slightly larger radius, so the pairs they return hold all
+    true conflicts; each is decided again by the scan's own ``hypot``
+    comparison.  A candidate that clashes with a fixed node goes at once;
+    then the candidate-candidate conflicts are walked in the order of their
+    later member, whose earlier partner is final by then.
+    """
+    radius = min_dist * (1.0 + 1e-9)
+    tree = cKDTree(candidates)
+    near = tree.sparse_distance_matrix(cKDTree(fixed), radius, output_type="ndarray")
+    keep = np.ones(len(candidates), dtype=bool)
+    keep[near["i"][_conflicts(candidates, fixed, near["i"], near["j"], min_dist)]] = False
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    pairs = pairs[_conflicts(candidates, candidates, pairs[:, 0], pairs[:, 1], min_dist)]
+    # query_pairs lists each pair as (i, j) with i < j
+    for i, j in pairs[np.argsort(pairs[:, 1])].tolist():
+        if keep[i]:
+            keep[j] = False
+    return keep
+
+
 def generate_irregular_cloud(
     boundary_polygon: Sequence[tuple[float, float]],
     target_spacing: float,
@@ -296,9 +326,10 @@ def generate_irregular_cloud(
 
     Boundary nodes (polygon vertices included) sit on the edges at roughly
     ``target_spacing``; interior nodes are lattice points displaced by
-    ``jitter * target_spacing`` uniform noise, kept only when strictly inside
-    and at least ``0.5 * target_spacing`` from every accepted node.
-    Deterministic for a fixed ``seed``.
+    ``jitter * target_spacing`` uniform noise, kept when inside the polygon
+    or exactly on an edge (:meth:`Polygon.contains` with zero tolerance) and
+    at least ``0.5 * target_spacing`` from every node accepted before them,
+    walking the lattice y-major.  Deterministic for a fixed ``seed``.
     """
     if target_spacing <= 0:
         raise CloudError("target spacing must be positive")
@@ -330,7 +361,7 @@ def generate_irregular_cloud(
     edge_of = np.concatenate(edge_of)
 
     # interior fill: jittered lattice with min-distance rejection against
-    # the accepted nodes, pool[:m]
+    # the accepted nodes
     rng = np.random.default_rng(seed)
     min_dist = 0.5 * target_spacing
     x_lo, y_lo = verts.min(axis=0)
@@ -342,14 +373,8 @@ def generate_irregular_cloud(
     delta = rng.uniform(-jitter, jitter, size=(gx.size, 2)) * target_spacing
     candidates = np.column_stack([gx.ravel() + delta[:, 0], gy.ravel() + delta[:, 1]])
     candidates = candidates[poly.contains(candidates[:, 0], candidates[:, 1], tol=0.0)]
-    m = len(positions)
-    pool = np.empty((m + len(candidates), 2))
-    pool[:m] = positions
-    for px, py in candidates:
-        if np.min(np.hypot(pool[:m, 0] - px, pool[:m, 1] - py)) < min_dist:
-            continue
-        pool[m] = px, py
-        m += 1
+    pool = np.concatenate([positions, candidates[_min_distance_fill(positions, candidates, min_dist)]])
+    m = len(pool)
 
     # each vertex also ends the edge before it
     incidence = np.zeros((m, n_edges), dtype=bool)

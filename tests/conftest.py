@@ -32,6 +32,14 @@ def make_cloud(positions, kinds, h, normals=None, hosts=None):
     return NodeCloud(np.asarray(positions, dtype=float), kinds, normals, hosts, h)
 
 
+def assert_same_cloud(got, want):
+    """The two clouds hold byte-equal node arrays (NaN normals included)."""
+    for name in ("positions", "kinds", "normals", "hosts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def interior_cloud(offsets, h):
     """A cloud of interior nodes: node 0 at the origin, node ``k + 1`` at
     ``offsets[k]``."""

@@ -6,10 +6,11 @@ modules; only the flux constant ``UNIT_ALPHA`` is read from the latter.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
-from gfdmflow.cloud import NodeKind
+from gfdmflow.cloud import NodeKind, generate_irregular_cloud
 from gfdmflow.physics import UNIT_ALPHA
 
 
@@ -110,3 +111,26 @@ def oracle_point_in_polygon(vertices, x, y):
             if y2 <= y and cross < 0:
                 wn -= 1
     return wn != 0
+
+
+def oracle_min_distance_fill(positions, candidates, min_dist):
+    """Mask of the candidates a sequential scan accepts: each in turn is kept
+    unless it lies closer than ``min_dist`` to a position or a kept one."""
+    m = len(positions)
+    pool = np.empty((m + len(candidates), 2))
+    pool[:m] = positions
+    keep = np.zeros(len(candidates), dtype=bool)
+    for k, (px, py) in enumerate(candidates):
+        if np.min(np.hypot(pool[:m, 0] - px, pool[:m, 1] - py)) < min_dist:
+            continue
+        pool[m] = px, py
+        m += 1
+        keep[k] = True
+    return keep
+
+
+def oracle_irregular_cloud(*args, **kwargs):
+    """``generate_irregular_cloud`` with its interior fill decided by
+    :func:`oracle_min_distance_fill`."""
+    with mock.patch("gfdmflow.cloud._min_distance_fill", oracle_min_distance_fill):
+        return generate_irregular_cloud(*args, **kwargs)

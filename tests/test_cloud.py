@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from gfdmflow import (
     add_virtual_nodes,
     generate_cartesian_cloud,
     generate_irregular_cloud,
+    load_config,
     read_cloud_csv,
     write_cloud_csv,
 )
 from gfdmflow.cloud import Polygon
 from gfdmflow.operators import build_node_rows
 
-from conftest import build_layout_cloud, make_cloud
+from conftest import assert_same_cloud, build_layout_cloud, make_cloud
+from oracle import oracle_irregular_cloud
 
 WATERFLOOD_SIDES = {"left": "dirichlet", "right": "dirichlet", "top": "robin", "bottom": "robin"}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_POLYGON = load_config(CONFIGS / "waterflood_polygon.cfg").vertices
+CONCAVE_NOTCH = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (5.0, 2.0), (0.0, 10.0))
+TILTED_QUAD = ((0.0, 0.0), (20.0, 3.0), (24.0, 13.0), (2.0, 9.0))
 
 
 class TestCartesianGeneration:
@@ -139,6 +146,42 @@ class TestIrregularGeneration:
         cw = ((0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0))
         with pytest.raises(CloudError):
             generate_irregular_cloud(cw, 1.0, seed=0)
+
+
+class TestIrregularFillOracle:
+    """The kd-tree fill accepts exactly the nodes of the sequential scan."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("seed", [7, 1, 2])
+    @pytest.mark.parametrize("spacing", [4.0, 2.0])
+    def test_shipped_polygon(self, spacing, seed, jitter):
+        kinds = ["robin", "dirichlet", "robin", "robin", "robin", "dirichlet"]
+        args = (SHIPPED_POLYGON, spacing, seed)
+        want = oracle_irregular_cloud(*args, jitter=jitter, edge_kinds=kinds)
+        assert_same_cloud(generate_irregular_cloud(*args, jitter=jitter, edge_kinds=kinds), want)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("poly", [CONCAVE_NOTCH, TILTED_QUAD], ids=["concave-notch", "tilted-quad"])
+    def test_other_polygons(self, poly, jitter):
+        for seed in (3, 11):
+            want = oracle_irregular_cloud(poly, 0.5, seed, jitter=jitter)
+            assert_same_cloud(generate_irregular_cloud(poly, 0.5, seed, jitter=jitter), want)
+
+    def test_no_candidate_inside(self):
+        # the lattice starts one spacing in and stops half a spacing short
+        poly = ((0.0, 0.0), (1.4, 0.0), (1.4, 1.4), (0.0, 1.4))
+        cloud = generate_irregular_cloud(poly, 1.0, seed=0, jitter=0.5)
+        # edges shorter than 1.5 spacings carry their two vertices only
+        assert np.array_equal(cloud.positions, np.array(poly))
+        assert_same_cloud(cloud, oracle_irregular_cloud(poly, 1.0, seed=0, jitter=0.5))
+
+    def test_one_candidate_inside(self):
+        poly = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
+        cloud = generate_irregular_cloud(poly, 1.0, seed=0, jitter=0.3)
+        assert cloud.n_interior == 1
+        assert len(cloud) == 9
+        assert np.all(np.abs(cloud.positions[-1] - 1.0) <= 0.3)
+        assert_same_cloud(cloud, oracle_irregular_cloud(poly, 1.0, seed=0, jitter=0.3))
 
 
 def stencil_of(cloud, center, r_e, degenerate="raise"):

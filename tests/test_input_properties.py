@@ -1,6 +1,8 @@
 """Property tests over the three input parsers: scenario configs, cloud CSVs
 and snapshot CSVs.  Whatever the text, only the documented error types may
-escape, and a valid configuration survives ``serialize -> parse``."""
+escape, and a valid configuration survives ``serialize -> parse``.  The
+irregular cloud of any small rectangle, spacing, seed and jitter is the one
+the sequential min-distance scan builds."""
 
 import re
 import string
@@ -15,6 +17,7 @@ from gfdmflow import (
     ConfigError,
     GfdmFlowError,
     SegmentBC,
+    generate_irregular_cloud,
     load_config,
     parse_config,
     read_cloud_csv,
@@ -22,6 +25,9 @@ from gfdmflow import (
 )
 from gfdmflow.config import validate_config
 from gfdmflow.postproc import FieldSnapshot
+
+from conftest import assert_same_cloud
+from oracle import oracle_irregular_cloud
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("waterflood_4m.cfg", "waterflood_polygon.cfg", "diagnose_layouts.cfg")
@@ -188,3 +194,17 @@ def test_snapshot_csv_raises_only_documented_error(snapshot_path, rows):
         FieldSnapshot.read_csv(snapshot_path)
     except GfdmFlowError:
         pass
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.floats(2.0, 12.0),
+    st.floats(2.0, 12.0),
+    st.floats(0.4, 1.5),
+    st.integers(0, 2**32),
+    st.floats(0.0, 0.5),
+)
+def test_irregular_cloud_matches_sequential_scan(width, height, spacing, seed, jitter):
+    rectangle = ((0.0, 0.0), (width, 0.0), (width, height), (0.0, height))
+    want = oracle_irregular_cloud(rectangle, spacing, seed, jitter=jitter)
+    assert_same_cloud(generate_irregular_cloud(rectangle, spacing, seed, jitter=jitter), want)
