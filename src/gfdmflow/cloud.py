@@ -373,8 +373,8 @@ def generate_irregular_cloud(
     delta = rng.uniform(-jitter, jitter, size=(gx.size, 2)) * target_spacing
     candidates = np.column_stack([gx.ravel() + delta[:, 0], gy.ravel() + delta[:, 1]])
     candidates = candidates[poly.contains(candidates[:, 0], candidates[:, 1], tol=0.0)]
-    pool = np.concatenate([positions, candidates[_min_distance_fill(positions, candidates, min_dist)]])
-    m = len(pool)
+    positions = np.concatenate([positions, candidates[_min_distance_fill(positions, candidates, min_dist)]])
+    m = len(positions)
 
     # each vertex also ends the edge before it
     incidence = np.zeros((m, n_edges), dtype=bool)
@@ -386,7 +386,7 @@ def generate_irregular_cloud(
     edge_normals /= np.hypot(edge_normals[:, 0], edge_normals[:, 1])[:, None]
     kinds, normals = _classify_nodes(incidence, edge_kinds, edge_normals)
     return NodeCloud(
-        pool[:m],
+        positions,
         kinds,
         normals,
         np.full(m, -1, dtype=np.int64),
