@@ -118,7 +118,9 @@ class PairFluxSystem:
         contribution ``k`` of :meth:`_pattern` adds into ``data[slot[k]]``.
 
         Keys ``col * n + row`` sort into CSC order; they are int32 while
-        ``n**2`` fits, which keeps this one-time pass light on memory.
+        ``n**2`` fits, which keeps this one-time pass light on memory.  The
+        index arrays are int32 whenever ``n + 1`` and ``nnz`` fit: scipy
+        would copy int64 ones into every Jacobian, so none would share them.
         """
         n = self.n_unknowns
         dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
@@ -134,8 +136,9 @@ class PairFluxSystem:
         slot[order] = np.cumsum(first, dtype=dtype) - 1
         del order
         keys = keys[first]
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
-        return indptr, keys % dtype(n), slot
+        index_dtype = np.int32 if max(n + 1, len(keys)) <= np.iinfo(np.int32).max else dtype
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(index_dtype)
+        return indptr, (keys % dtype(n)).astype(index_dtype, copy=False), slot
 
     # -- evaluation -------------------------------------------------------------
 

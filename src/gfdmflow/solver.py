@@ -20,7 +20,8 @@ factored in natural order, without relaxed supernodes.  Where that LU fills
 densely it is kept and preconditions GMRES on the next Jacobians of the
 march (a lagged preconditioner in the sense of Knoll & Keyes, J. Comput.
 Phys. 193, 2004, section 3); a new factorization is made only when that
-misses its residual target.  A solve thus depends on the LU held from earlier solves, but
+misses its residual target.  The pattern's plan holds that LU, so a solve
+depends on the LU held from earlier solves of the same pattern, but
 :func:`simulate` starts every march without one and drops it at the end:
 a march's result does not depend on what ran before it.
 """
@@ -100,23 +101,31 @@ class SolverReport:
                 writer.writerow([k, repr(s.t), repr(s.dt), s.newton_iters, repr(s.residual_norm)])
 
 
-def _same_index_buffers(held, a) -> bool:
-    """Whether ``a`` uses the very index arrays ``held`` keeps (and so keeps
-    from being freed and their addresses reused)."""
-    return (
-        held.indptr.__array_interface__ == a.indptr.__array_interface__
-        and held.indices.__array_interface__ == a.indices.__array_interface__
-    )
-
-
-@dataclass(frozen=True)
-class _FrozenOrdering:
-    """Fill-reducing symmetric permutation ``q`` of one CSC pattern, with the
-    permuted pattern and the map that gathers ``A[q][:, q].data`` from
-    ``A.data``.  Holds index arrays only, never matrix values."""
+@dataclass(eq=False)
+class _Plan:
+    """The index arrays of one CSC pattern (kept alive, so their addresses
+    are not reused), how each solve on it goes, and the LU that solves keep
+    for the next ones, if any: only a SuperLU plan keeps one."""
 
     indptr: np.ndarray
     indices: np.ndarray
+    lu: spla.SuperLU | None = field(default=None, kw_only=True)
+
+    def matches(self, a) -> bool:
+        # Same buffers (the assembly shares its index arrays across calls),
+        # else same contents.
+        return all(
+            mine.__array_interface__ == theirs.__array_interface__ or np.array_equal(mine, theirs)
+            for mine, theirs in ((self.indptr, a.indptr), (self.indices, a.indices))
+        )
+
+
+@dataclass(eq=False)
+class _FrozenOrdering(_Plan):
+    """Fill-reducing symmetric permutation ``q`` of one CSC pattern, with the
+    permuted pattern and the map that gathers ``A[q][:, q].data`` from
+    ``A.data``."""
+
     q: np.ndarray
     perm_indptr: np.ndarray
     perm_indices: np.ndarray
@@ -131,26 +140,31 @@ class _FrozenOrdering:
         slots.sort_indices()
         return cls(a.indptr, a.indices, q, slots.indptr, slots.indices, slots.data)
 
-    def matches(self, a) -> bool:
-        # Same buffers (the assembly shares its index arrays across calls),
-        # else same contents.
-        return _same_index_buffers(self, a) or (
-            np.array_equal(self.indptr, a.indptr) and np.array_equal(self.indices, a.indices)
-        )
+    def permuted(self, data: np.ndarray):
+        n = len(self.q)
+        return sp.csc_matrix((data[self.perm_data_map], self.perm_indices, self.perm_indptr), shape=(n, n))
 
-    def permuted(self, a):
-        return sp.csc_matrix((a.data[self.perm_data_map], self.perm_indices, self.perm_indptr), shape=a.shape)
+    def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        permuted, b = self.permuted(data), rhs[self.q]
+        y = None if self.lu is None else _lagged_gmres(permuted, b, self.lu)
+        if y is None:
+            self.lu = None  # released before the new factorization
+            lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
+            y = lu.solve(b)
+            if lu.nnz > KEEP_FILL * len(b):
+                self.lu = lu
+        x = np.empty(len(rhs))
+        x[self.q] = y
+        return x
 
 
-@dataclass(frozen=True)
-class _BandedPattern:
+@dataclass(eq=False)
+class _BandedPattern(_Plan):
     """A CSC pattern with a narrow natural band: ``kl`` sub- and ``ku``
     super-diagonals, the slot of each entry of ``A.data`` in LAPACK band
     storage, and the band array itself (Fortran order), which every solve
     refills and ``gbsv`` factors in place."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
     kl: int
     ku: int
     slots: np.ndarray
@@ -164,8 +178,6 @@ class _BandedPattern:
         cols = _columns(a).astype(np.intp)
         slots = (kl + ku + a.indices - cols) + cols * rows
         return cls(a.indptr, a.indices, kl, ku, slots, np.zeros((rows, a.shape[1]), order="F"))
-
-    matches = _FrozenOrdering.matches
 
     def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         band = self.band
@@ -182,7 +194,7 @@ def _columns(a) -> np.ndarray:
     return np.repeat(np.arange(a.shape[1], dtype=a.indices.dtype), np.diff(a.indptr))
 
 
-def _compile_pattern(a) -> _FrozenOrdering | _BandedPattern:
+def _compile_pattern(a) -> _Plan:
     """The plan of a new pattern: banded when LAPACK's band LU needs at most
     ``KEEP_FILL`` entries per unknown (``2 kl + ku + 1``), else SuperLU on
     a frozen fill-reducing order."""
@@ -211,25 +223,10 @@ GMRES_STEPS = 10
 GMRES_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class _HeldLU:
-    """The last factorization of a permuted pattern, tied to the index
-    buffers of the matrix it factored: only a matrix that shares them, as the
-    Jacobians of one assembled system do, is preconditioned by it."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    lu: spla.SuperLU
-
-
-# The plan of the most recent pattern: a Newton march solves one frozen
-# pattern over and over.  Results never depend on it, since every solve
-# refills the band, or factors the permuted matrix in natural order, cached
-# or not.
-_ordering: _FrozenOrdering | _BandedPattern | None = None
-# The LU a march's next solve may reuse; :func:`simulate` drops it when a
-# march starts and when it ends.
-_held: _HeldLU | None = None
+# The plan of the most recent pattern, with the LU it holds: a Newton march
+# solves one frozen pattern over and over.  :func:`simulate` drops the held
+# LU when a march starts and when it ends.
+_ordering: _Plan | None = None
 
 
 def _lagged_gmres(a, b: np.ndarray, lu) -> np.ndarray | None:
@@ -302,8 +299,9 @@ def direct_solve(jac, rhs):
     factors that permuted matrix in ``NATURAL`` order without relaxed
     supernodes (``relax=0``: relaxed supernodes keep the fill but take
     about 8x the time on jittered clouds).  A factorization with more than
-    ``KEEP_FILL`` entries per unknown is held.  The next call on the same
-    index buffers first runs :func:`_lagged_gmres` preconditioned by it and
+    ``KEEP_FILL`` entries per unknown is held by the plan, so it is tied to
+    the pattern, not to the buffers that carry it.  The next call on that
+    pattern first runs :func:`_lagged_gmres` preconditioned by it and
     factors afresh only when that misses ``GMRES_RTOL`` within
     ``GMRES_STEPS``; the new LU replaces the old one, which is released
     first.  A sparser LU is never held, so such patterns take the exact path
@@ -314,29 +312,14 @@ def direct_solve(jac, rhs):
     Raises :class:`LinearSolveError` when the factorization fails (a
     Jacobian without stored entries included) or the update is not finite.
     """
-    global _ordering, _held
+    global _ordering
     a = jac.tocsc()
     a.sum_duplicates()
     try:
-        plan = _ordering
-        if plan is None or not plan.matches(a):
-            _held = None
-            plan = _ordering = _compile_pattern(a)
-        if isinstance(plan, _BandedPattern):
-            delta = plan.solve(a.data, rhs)
-        else:
-            permuted, b = plan.permuted(a), rhs[plan.q]
-            y = None
-            if _held is not None and _same_index_buffers(_held, a):
-                y = _lagged_gmres(permuted, b, _held.lu)
-            if y is None:
-                _held = None
-                lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
-                y = lu.solve(b)
-                if lu.nnz > KEEP_FILL * len(b):
-                    _held = _HeldLU(a.indptr, a.indices, lu)
-            delta = np.empty(len(rhs))
-            delta[plan.q] = y
+        if _ordering is None or not _ordering.matches(a):
+            _ordering = None  # the old plan and its LU go before the new one is compiled
+            _ordering = _compile_pattern(a)
+        delta = _ordering.solve(a.data, rhs)
     except (RuntimeError, ValueError) as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(delta)):
@@ -409,7 +392,6 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     Deterministic for fixed inputs: the march starts without a held LU and
     drops the one :func:`direct_solve` holds when it ends, also on error.
     """
-    global _held
     targets = sorted({float(t) for t in output_times if 0.0 < t <= tc.t_end} | ({tc.t_end} if tc.t_end > 0 else set()))
     snapshots: dict[float, np.ndarray] = {0.0: x0.copy()}
     report = SolverReport()
@@ -418,7 +400,7 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     dt = tc.dt_init
     eps = 1e-9 * max(tc.t_end, 1.0)
     next_idx = 0
-    _held = None
+    _drop_held_lu()
     try:
         while t < tc.t_end - eps:
             dt_step = min(dt, tc.dt_max)
@@ -432,5 +414,10 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
                 snapshots[targets[next_idx]] = x.copy()
                 next_idx += 1
     finally:
-        _held = None
+        _drop_held_lu()
     return snapshots, report
+
+
+def _drop_held_lu() -> None:
+    if _ordering is not None:
+        _ordering.lu = None

@@ -61,7 +61,7 @@ class TestRowStructure:
         cloud, ops, model, specs = waterflood_setup()
         state = uniform_state(cloud)
         r = residual(state, state, 1.0, cloud, ops, model, specs)
-        n1, n2, n3 = cloud.n_interior, cloud.n_dirichlet, cloud.n_robin
+        n1, n2, n3 = (len(cloud.ids_of_kind(k)) for k in (NodeKind.INTERIOR, NodeKind.DIRICHLET, NodeKind.ROBIN))
         assert len(r) == 2 * (n1 + n2 + n3 + n3)
 
     def test_all_dirichlet_two_by_two(self):

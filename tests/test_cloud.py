@@ -33,19 +33,20 @@ class TestCartesianGeneration:
         cloud = generate_cartesian_cloud(200, 80, 4, 4, WATERFLOOD_SIDES)
         assert len(cloud) == 51 * 21 == 1071
         # two vertical Dirichlet sides, corners included by priority
-        assert cloud.n_dirichlet == 2 * 21
-        assert cloud.n_robin == 2 * (51 - 2)
-        assert cloud.n_interior == 1071 - 42 - 98
+        assert len(cloud.ids_of_kind(NodeKind.DIRICHLET)) == 2 * 21
+        assert len(cloud.ids_of_kind(NodeKind.ROBIN)) == 2 * (51 - 2)
+        assert len(cloud.ids_of_kind(NodeKind.INTERIOR)) == 1071 - 42 - 98
 
     def test_smallest_all_dirichlet_lattice(self):
         cloud = generate_cartesian_cloud(1, 1, 1, 1, {s: "dirichlet" for s in WATERFLOOD_SIDES})
         assert len(cloud) == 4
-        assert cloud.n_dirichlet == 4 and cloud.n_interior == 0
+        assert len(cloud.ids_of_kind(NodeKind.DIRICHLET)) == 4
+        assert len(cloud.ids_of_kind(NodeKind.INTERIOR)) == 0
 
     def test_all_robin_corner_normals(self):
         cloud = generate_cartesian_cloud(2, 1, 1, 1, {s: "robin" for s in WATERFLOOD_SIDES})
         assert len(cloud) == 6
-        assert cloud.n_robin == 6
+        assert len(cloud.ids_of_kind(NodeKind.ROBIN)) == 6
         inv = 1.0 / math.sqrt(2.0)
         by_pos = {tuple(p): i for i, p in enumerate(map(tuple, cloud.positions))}
         assert np.allclose(cloud.normals[by_pos[(0.0, 0.0)]], (-inv, -inv))
@@ -68,8 +69,9 @@ class TestVirtualNodes:
     def test_positions_and_links(self):
         cloud = generate_cartesian_cloud(40, 16, 4, 4, WATERFLOOD_SIDES)
         out = add_virtual_nodes(cloud, 4.0)
-        assert len(out) == len(cloud) + cloud.n_robin
-        assert out.n_virtual == cloud.n_robin
+        n_robin = len(cloud.ids_of_kind(NodeKind.ROBIN))
+        assert len(out) == len(cloud) + n_robin
+        assert out.n_virtual == n_robin
         for b in out.ids_of_kind(NodeKind.VIRTUAL):
             host = int(out.hosts[b])
             assert out.kinds[host] == NodeKind.ROBIN
@@ -77,7 +79,7 @@ class TestVirtualNodes:
             assert abs(gap - 4.0) <= 1e-12
         # exactly one virtual per robin host
         hosts = out.hosts[out.ids_of_kind(NodeKind.VIRTUAL)]
-        assert len(np.unique(hosts)) == cloud.n_robin
+        assert len(np.unique(hosts)) == n_robin
 
     def test_single_node_placement(self):
         cloud = make_cloud(
@@ -142,6 +144,13 @@ class TestIrregularGeneration:
         with pytest.raises(CloudError):
             generate_irregular_cloud(tiny, 1.5, seed=0)
 
+    @pytest.mark.parametrize("width, height", [(2.0, 2.0), (200.0, 4.0)], ids=["square", "strip"])
+    def test_spacing_equal_to_inscribed_width_accepted(self, width, height):
+        rectangle = ((0.0, 0.0), (width, 0.0), (width, height), (0.0, height))
+        assert height <= Polygon(rectangle).inscribed_width() <= 1.02 * height
+        cloud = generate_irregular_cloud(rectangle, height, seed=0)
+        assert np.array_equal(cloud.positions[:4], np.array(rectangle))
+
     def test_clockwise_polygon_rejected(self):
         cw = ((0.0, 0.0), (0.0, 10.0), (10.0, 10.0), (10.0, 0.0))
         with pytest.raises(CloudError):
@@ -178,7 +187,7 @@ class TestIrregularFillOracle:
     def test_one_candidate_inside(self):
         poly = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
         cloud = generate_irregular_cloud(poly, 1.0, seed=0, jitter=0.3)
-        assert cloud.n_interior == 1
+        assert len(cloud.ids_of_kind(NodeKind.INTERIOR)) == 1
         assert len(cloud) == 9
         assert np.all(np.abs(cloud.positions[-1] - 1.0) <= 0.3)
         assert_same_cloud(cloud, oracle_irregular_cloud(poly, 1.0, seed=0, jitter=0.3))

@@ -28,6 +28,14 @@ from gfdmflow import solver
 from test_assembly import SIDES, uniform_state, waterflood_setup
 
 
+def same_buffers(a, b):
+    """Whether the sparse matrices (or plans) ``a`` and ``b`` share their
+    very index arrays."""
+    return all(
+        x.__array_interface__ == y.__array_interface__ for x, y in ((a.indptr, b.indptr), (a.indices, b.indices))
+    )
+
+
 def small_system(mult=1.001):
     cloud, ops, model, specs = waterflood_setup(width=16.0, height=8.0, mult=mult)
     return ImplicitSystem(cloud, ops, model, specs), cloud
@@ -193,15 +201,16 @@ class TestLaggedSolve:
     def held_system(self):
         # 40 m x 16 m at r = 3.001: 86 LU entries per unknown, above KEEP_FILL
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
-        solver._held = None
+        solver._ordering = None
         yield ImplicitSystem(cloud, ops, model, specs), cloud
-        solver._held = None
+        solver._ordering = None
 
     def test_held_jacobian_returns_exact_lu_answer(self, held_system):
         jac, rhs = random_linear_system(*held_system, seed=1)
         exact = solver.direct_solve(jac, rhs)
-        held = solver._held
-        assert held is not None and solver._same_index_buffers(held, jac)
+        ordering = solver._ordering
+        held = ordering.lu
+        assert held is not None and same_buffers(ordering, jac)
 
         # the preconditioned operator is the identity: GMRES breaks down at
         # its first step and must stop there, not divide by H[1, 0]
@@ -210,15 +219,27 @@ class TestLaggedSolve:
         class CountingLU:
             def solve(self, v):
                 steps.append(1)
-                return held.lu.solve(v)
+                return held.solve(v)
 
-        ordering = solver._ordering
         with np.errstate(all="raise"):
-            x = solver._lagged_gmres(ordering.permuted(jac), rhs[ordering.q], CountingLU())
+            x = solver._lagged_gmres(ordering.permuted(jac.data), rhs[ordering.q], CountingLU())
             again = solver.direct_solve(jac, rhs)
         assert steps == [1]
-        assert solver._held is held  # accepted without refactoring
+        assert solver._ordering is ordering and ordering.lu is held  # accepted without refactoring
         np.testing.assert_allclose(x[np.argsort(ordering.q)], exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(again, exact, rtol=1e-12, atol=0)
+
+    def test_copied_index_arrays_keep_the_held_lu(self, held_system):
+        # the held LU belongs to the pattern: a Jacobian with equal index
+        # contents in fresh buffers is preconditioned by it, not refactored
+        jac, rhs = random_linear_system(*held_system, seed=1)
+        exact = solver.direct_solve(jac, rhs)
+        ordering = solver._ordering
+        held = ordering.lu
+        copied = sp.csc_matrix((jac.data, jac.indices.copy(), jac.indptr.copy()), shape=jac.shape)
+        assert not same_buffers(copied, jac)
+        again = solver.direct_solve(copied, rhs)
+        assert solver._ordering is ordering and ordering.lu is held
         np.testing.assert_allclose(again, exact, rtol=1e-12, atol=0)
 
     def test_exact_breakdown_stops_before_dividing(self):
@@ -236,21 +257,22 @@ class TestLaggedSolve:
         # pure injection state against the random one the LU came from
         x = uniform_state(cloud, p=15.0, sw=0.8).to_vector()
         residual, jac = system.residual_and_jacobian(x, uniform_state(cloud).to_vector(), 2.0)
-        assert solver._same_index_buffers(solver._held, jac)
+        assert same_buffers(solver._ordering, jac) and solver._ordering.lu is not None
         delta = solver.direct_solve(jac, -residual)
         assert np.linalg.norm(jac @ delta + residual) <= solver.GMRES_RTOL * np.linalg.norm(residual)
 
     def test_singular_refactorization_raises(self, held_system):
         jac, rhs = random_linear_system(*held_system, seed=3)
         solver.direct_solve(jac, rhs)
-        assert solver._held is not None
+        ordering = solver._ordering
+        assert ordering.lu is not None
         data = jac.data.copy()
         data[jac.indices == 7] = 0.0  # zero one row on the held index buffers
         singular = sp.csc_matrix((data, jac.indices, jac.indptr), shape=jac.shape)
-        assert solver._same_index_buffers(solver._held, singular)
+        assert same_buffers(ordering, singular)
         with pytest.raises(LinearSolveError):
             solver.direct_solve(singular, np.ones(len(rhs)))
-        assert solver._held is None
+        assert solver._ordering is ordering and ordering.lu is None
 
     def test_low_fill_pattern_takes_exact_path(self):
         # the five-point limit (27 LU entries per unknown) stays below
@@ -260,7 +282,7 @@ class TestLaggedSolve:
         for seed in (4, 5):
             jac, rhs = random_linear_system(system, cloud, seed)
             assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
-            assert solver._held is None
+            assert solver._ordering.lu is None
 
 
 def strip_system(nx=41, ny=5):
@@ -342,9 +364,19 @@ class TestBandedSolve:
         solver.direct_solve(jac, rhs)
         plan = solver._ordering
         jac2, rhs2 = random_strip_system(system, x0, seed=5)
-        assert solver._same_index_buffers(jac, jac2)
+        assert same_buffers(jac, jac2) and same_buffers(plan, jac2)
         solver.direct_solve(jac2, rhs2)
         assert solver._ordering is plan and compiled == [1]
+
+    def test_fine_strip_shares_index_buffers(self):
+        # 47 000 unknowns: above 46 340, where n**2 overflows int32, the
+        # index arrays must still be int32, or scipy copies them per Jacobian
+        system, x0 = strip_system(nx=4700, ny=5)
+        assert system.n_unknowns == 47_000
+        jac, rhs = random_strip_system(system, x0, seed=9)
+        jac2, _ = random_strip_system(system, x0, seed=10)
+        solver.direct_solve(jac, rhs)
+        assert same_buffers(jac, jac2) and same_buffers(solver._ordering, jac2)
 
     def test_result_independent_of_cached_plan(self, monkeypatch):
         system, x0 = strip_system()
@@ -534,10 +566,10 @@ class TestSimulate:
         x0 = uniform_state(cloud).to_vector()
         tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
         snaps_a, report_a = simulate(system, x0, tc)
-        assert solver._held is None
+        assert solver._ordering.lu is None
         residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
         solver.direct_solve(jac, -residual)
-        assert solver._held is not None
+        assert solver._ordering.lu is not None
         snaps_b, report_b = simulate(system, x0, tc)
         assert report_a.steps == report_b.steps
         assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
@@ -559,7 +591,7 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="assembly failed"):
             simulate(system, uniform_state(cloud).to_vector(), tc)
         assert system.calls == 3
-        assert solver._held is None
+        assert isinstance(solver._ordering, solver._FrozenOrdering) and solver._ordering.lu is None
 
     def test_report_totals_and_csv(self, tmp_path):
         system, cloud = small_system()
