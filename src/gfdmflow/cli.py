@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
     report.write_csv(out / f"{config.prefix}_{args.solver}_report.csv")
     print(
         f"completed: {report.n_steps} steps, {report.total_newton_iterations} Newton iterations, "
-        f"{len(snapshots)} snapshots -> {out}"
+        f"{report.cut_events} cut events, {report.restarts} restarts, {len(snapshots)} snapshots -> {out}"
     )
     return EXIT_OK
 

@@ -386,3 +386,18 @@ def test_strip_reference_equivalence():
     mid_full = s_full[40.0].sw.reshape(g_full.nx, g_full.ny)[:, g_full.ny // 2]
     mid_strip = s_strip[40.0].sw.reshape(g_strip.nx, g_strip.ny)[:, g_strip.ny // 2]
     assert np.max(np.abs(mid_full - mid_strip)) < 1e-12
+
+
+@pytest.mark.slow
+def test_large_step_flood_needs_no_cut_or_restart():
+    """Stress run: the shipped 4 m flood at r = 2.001 with steps up to 20 d.
+    Each step's Newton iteration starts from the extrapolation of the last
+    two states, which must neither fail nor force a smaller step here."""
+    cfg = gf.load_config(CONFIGS / "waterflood_4m.cfg").with_overrides(
+        radius_multiple=2.001, dt_max=20.0, t_end=200.0, output_times=(200.0,)
+    )
+    report = gf.run_scenario(cfg).report
+    assert (report.cut_events, report.restarts) == (0, 0)
+    assert max(s.dt for s in report.steps) == cfg.dt_max
+    assert all(s.residual_norm <= cfg.newton_tol for s in report.steps)
+    assert sum(s.dt for s in report.steps) == pytest.approx(200.0)

@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +240,26 @@ class TestRunCommand:
         snap = FieldSnapshot.read_csv(out / "tiny_gfdm_t5.csv")
         # one row per non-virtual node on the 11x5 lattice
         assert len(snap.x) == 11 * 5
+
+    @pytest.mark.parametrize("solver", ["gfdm", "fdm"])
+    def test_run_summary_line(self, tiny_config_path, tmp_path, capsys, solver):
+        assert main(["run", str(tiny_config_path), "--solver", solver]) == 0
+        out = tmp_path / "out"
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        match = re.fullmatch(
+            r"completed: (\d+) steps, (\d+) Newton iterations, (\d+) cut events, (\d+) restarts, "
+            r"(\d+) snapshots -> (.+)",
+            line,
+        )
+        assert match, line
+        steps, newton, cuts, restarts, snapshots = map(int, match.groups()[:5])
+        with open(out / f"tiny_{solver}_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert steps == len(rows) > 0
+        assert newton == sum(int(row["newton_iters"]) for row in rows)
+        assert (cuts, restarts) == (0, 0)
+        assert snapshots == len(list(out.glob(f"tiny_{solver}_t*.csv")))
+        assert match[6] == str(out)
 
     def test_run_fdm_solver(self, tiny_config_path, tmp_path):
         rc = main(["run", str(tiny_config_path), "--solver", "fdm"])

@@ -57,6 +57,58 @@ class ScalarProblem:
         return self.residual(x, x_old, dt), jac
 
 
+
+class RampProblem:
+    """Backward Euler on x' = 1 written nonlinearly, (x - x_old - dt)(1 + x^2)
+    = 0: the solution x(t) = x(0) + t is linear in t, yet Newton from x_old
+    needs more than one iteration."""
+
+    def residual(self, x, x_old, dt):
+        return (x - x_old - dt) * (1.0 + x**2)
+
+    def residual_and_jacobian(self, x, x_old, dt):
+        jac = sp.csr_matrix(np.diag(1.0 + x**2 + 2.0 * x * (x - x_old - dt)))
+        return self.residual(x, x_old, dt), jac
+
+
+class CappedRampProblem:
+    """arctan(s (x - min(x_old + dt, cap))) = 0: x rises with t up to ``cap``
+    and stays there.  Newton on arctan diverges from starts more than about
+    1.39 / s from the root, so on the step that reaches the cap the
+    extrapolated start overshoots and fails while x_old converges."""
+
+    s, cap = 20.0, 0.62
+
+    def _u(self, x, x_old, dt):
+        return self.s * (x - np.minimum(x_old + dt, self.cap))
+
+    def residual(self, x, x_old, dt):
+        return np.arctan(self._u(x, x_old, dt))
+
+    def residual_and_jacobian(self, x, x_old, dt):
+        u = self._u(x, x_old, dt)
+        return np.arctan(u), sp.csr_matrix(np.diag(self.s / (1.0 + u**2)))
+
+
+class StartRecorder:
+    """Wraps a problem and records the point of each step's first residual
+    call, that is, where its Newton iteration starts."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.starts = []  # (x, x_old, dt) per step
+        self._step = None
+
+    def residual(self, x, x_old, dt):
+        step = (x_old.tobytes(), dt)
+        if step != self._step:
+            self.starts.append((x.copy(), x_old.copy(), dt))
+            self._step = step
+        return self.problem.residual(x, x_old, dt)
+
+    def residual_and_jacobian(self, x, x_old, dt):
+        return self.problem.residual_and_jacobian(x, x_old, dt)
+
 class TestJacobian:
     def test_dirichlet_row_is_identity(self):
         system, cloud = small_system()
@@ -483,7 +535,7 @@ class TestAdvance:
         system, cloud = small_system()
         x_old = uniform_state(cloud).to_vector()
         tc = TimeControl(dt_init=0.25, dt_max=2.0, t_end=10.0)
-        x, record, dt_next, cuts = advance(system, x_old, 0.0, 0.25, tc)
+        x, record, dt_next, cuts, restarts = advance(system, x_old, 0.0, 0.25, tc)
         assert record.newton_iters <= 1
         assert cuts == 0
         assert dt_next == pytest.approx(0.375)
@@ -493,7 +545,7 @@ class TestAdvance:
         x_old = uniform_state(cloud).to_vector()
         # cap iterations so a huge step cannot converge on the first try
         tc = TimeControl(dt_init=500.0, dt_max=500.0, t_end=1e3, max_newton=5)
-        x, record, dt_next, cuts = advance(system, x_old, 0.0, 500.0, tc)
+        x, record, dt_next, cuts, restarts = advance(system, x_old, 0.0, 500.0, tc)
         assert cuts >= 1
         assert record.dt < 500.0
 
@@ -516,15 +568,27 @@ class TestAdvance:
         # x0 = 0 start, root of x^2 = 4: two to three iterations from 1.0;
         # pick the cap to land exactly on the converging iteration
         tc_probe = TimeControl(dt_init=1.0, dt_max=1.0, t_end=2.0, newton_tol=1e-10, max_newton=20)
-        x, record, _, _ = advance(problem, np.array([1.0]), 0.0, 1.0, tc_probe)
+        x, record, _, _, _ = advance(problem, np.array([1.0]), 0.0, 1.0, tc_probe)
         needed = record.newton_iters
         tc_exact = TimeControl(
             dt_init=1.0, dt_max=1.0, t_end=2.0, newton_tol=1e-10, max_newton=needed
         )
-        x, record, _, cuts = advance(problem, np.array([1.0]), 0.0, 1.0, tc_exact)
+        x, record, _, cuts, _ = advance(problem, np.array([1.0]), 0.0, 1.0, tc_exact)
         assert record.newton_iters == needed
         assert cuts == 0
 
+
+    def test_failed_start_retries_from_x_old_at_same_dt(self):
+        # from x_start = 0.9 the root 0.62 is 5.6 / s away and Newton
+        # diverges; from x_old = 0.6 it is 0.4 / s away and converges
+        problem = CappedRampProblem()
+        tc = TimeControl(dt_init=0.3, dt_max=0.3, t_end=1.0, max_newton=8)
+        x_old = np.array([0.6])
+        x, record, _, cuts, restarts = advance(problem, x_old, 0.0, 0.3, tc, x_start=np.array([0.9]))
+        assert (cuts, restarts) == (0, 1)
+        assert record.dt == 0.3 and record.residual_norm <= tc.newton_tol
+        assert x[0] == pytest.approx(0.62)
+        assert x_old[0] == 0.6
 
 class TestSimulate:
     def test_zero_end_time_returns_initial(self):
@@ -605,6 +669,53 @@ class TestSimulate:
         assert lines[0] == "step,t,dt,newton_iters,residual_norm"
         assert len(lines) == 1 + report.n_steps
 
+
+
+class TestExtrapolatedStart:
+    def test_linear_solution_needs_no_iteration(self):
+        # a tight tolerance puts the first step within round-off of the line;
+        # the extrapolation would carry a looser step's error forward
+        tc = TimeControl(dt_init=0.1, dt_max=1.0, t_end=10.0, newton_tol=1e-10)
+        snapshots, report = simulate(RampProblem(), np.array([1.0]), tc, output_times=(0.33, 5.0))
+        iters = [s.newton_iters for s in report.steps]
+        assert iters[0] >= 2
+        assert iters[2:] == [0] * (len(iters) - 2)
+        assert all(s.residual_norm <= tc.newton_tol for s in report.steps)
+        assert snapshots[10.0][0] == pytest.approx(11.0, abs=1e-9)
+
+    def test_diverging_start_restarts_without_cut(self):
+        problem = CappedRampProblem()
+        tc = TimeControl(dt_init=0.05, dt_max=0.2, t_end=1.2, max_newton=8)
+        snapshots, report = simulate(problem, np.zeros(1), tc)
+        assert (report.cut_events, report.restarts) == (0, 1)
+        # the step that reaches the cap is taken at the full dt_max
+        capped = next(k for k, s in enumerate(report.steps) if s.newton_iters > 0 and k > 0)
+        assert report.steps[capped].dt == tc.dt_max
+        assert [s.dt for s in report.steps[: capped + 1]] == pytest.approx([0.05, 0.075, 0.1125, 0.16875, 0.2, 0.2])
+        assert all(s.residual_norm <= tc.newton_tol for s in report.steps)
+        assert snapshots[1.2][0] == pytest.approx(problem.cap)
+
+    def test_start_factor_bounded_and_marches_start_at_x0(self):
+        problem = StartRecorder(RampProblem())
+        x0 = np.array([1.0])
+        # the 0.33 d snapshot clips the third step to 0.08 d, so the fourth
+        # extrapolates with the full factor dt_grow
+        tc = TimeControl(dt_init=0.1, dt_max=1.0, t_end=4.0)
+        reports = [simulate(problem, x0, tc, output_times=(0.33,))[1] for _ in range(2)]
+        assert reports[0].steps == reports[1].steps
+        n = reports[0].n_steps
+        assert len(problem.starts) == 2 * n
+        factors = []
+        for march in (problem.starts[:n], problem.starts[n:]):
+            x, x_old, _ = march[0]
+            assert np.array_equal(x, x0) and np.array_equal(x_old, x0)
+            for (_, x_prev, _), (x, x_old, _) in zip(march, march[1:]):
+                factors.append(((x - x_old) / (x_old - x_prev))[0])
+        dts = [s.dt for s in reports[0].steps]
+        assert dts[2] == pytest.approx(0.08)
+        assert max(factors) <= tc.dt_grow * (1 + 1e-9)
+        assert factors[2] == pytest.approx(tc.dt_grow)
+        assert factors[: n - 1] == pytest.approx([b / a for a, b in zip(dts, dts[1:])])
 
 class TestPhysicalBounds:
     def test_pressure_extremum_and_saturation_bounds(self):
