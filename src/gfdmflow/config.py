@@ -2,9 +2,11 @@
 
 The format is deliberately plain (INI-style sections, human-diffable); a
 configuration survives ``parse -> serialize -> parse`` bit-identically.
-One table, ``_SCHEMA``, names every ``[section] key`` outside the
-``[boundary.<name>]`` sections; parsing and serialization both walk it.  An
-unknown section or key is an error, and every number must be finite.
+Each :class:`ScenarioConfig` field names its own ``[section] key`` and
+converter; ``_SCHEMA``, which parsing and serialization both walk, is read
+off those fields.  The values of the ``[boundary.<name>]`` sections follow
+one table, ``_BOUNDARY_KINDS``, with a row per kind.  An unknown section or
+key is an error, and every number must be finite.
 Validation collects every problem before failing so a bad file reports all
 its issues at once.
 """
@@ -14,13 +16,13 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from operator import itemgetter
 
 from .cloud import SIDES
 from .errors import ConfigError
-from .solver import TimeControl
+from .solver import TimeControl, _broken_time_rules
 
 __all__ = ["SegmentBC", "ScenarioConfig", "parse_config", "load_config", "serialize_config"]
 
@@ -49,76 +51,6 @@ class SegmentBC:
     @classmethod
     def noflow(cls) -> "SegmentBC":
         return cls("robin", p_robin=(0.0, 1.0, 0.0), sw_robin=(0.0, 1.0, 0.0))
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    # domain
-    domain_shape: str = "rectangle"
-    width: float = 200.0
-    height: float = 80.0
-    vertices: tuple[tuple[float, float], ...] = ()
-    # cloud
-    cloud_type: str = "cartesian"
-    dx: float = 4.0
-    dy: float = 4.0
-    spacing: float = 4.0
-    seed: int = 0
-    jitter: float = 0.3
-    cloud_path: str = ""
-    virtual_nodes: str = "auto"
-    # influence radius
-    radius_multiple: float | None = 1.001
-    radius_absolute: float | None = None
-    # rock
-    permeability: float = 100.0
-    porosity: float = 0.3
-    compressibility: float = 0.0
-    reference_pressure: float = 10.0
-    # fluids
-    oil_viscosity: float = 10.0
-    water_viscosity: float = 2.0
-    connate_water: float = 0.2
-    residual_oil: float = 0.2
-    # initial conditions
-    initial_pressure: float = 10.0
-    initial_water_saturation: float = 0.2
-    # boundaries keyed by side name or "edgeK"
-    boundaries: dict[str, SegmentBC] = field(default_factory=dict)
-    # time control
-    dt_init: float = 0.01
-    dt_max: float = 2.0
-    t_end: float = 500.0
-    newton_tol: float = 1e-6
-    max_newton: int = 20
-    dt_grow: float = 1.5
-    dt_cut: float = 0.5
-    # output
-    output_times: tuple[float, ...] = ()
-    output_dir: str = "out"
-    prefix: str = "run"
-    vtk: bool = False
-
-    def time_control(self) -> TimeControl:
-        return TimeControl(
-            dt_init=self.dt_init,
-            dt_max=self.dt_max,
-            t_end=self.t_end,
-            newton_tol=self.newton_tol,
-            max_newton=self.max_newton,
-            dt_grow=self.dt_grow,
-            dt_cut=self.dt_cut,
-        )
-
-    def influence_radius(self) -> float:
-        if self.radius_absolute is not None:
-            return self.radius_absolute
-        if self.cloud_type == "cartesian":
-            return self.radius_multiple * float((self.dx**2 + self.dy**2) ** 0.5)
-        return self.radius_multiple * float(2.0**0.5) * self.spacing
-
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        return replace(self, **kwargs)
 
 
 def _number(text: str) -> float:
@@ -165,6 +97,13 @@ def _vertices(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(vertices)
 
 
+def _triple(text: str) -> tuple[float, float, float]:
+    values = _numbers(text)
+    if len(values) != 3:
+        raise ValueError("expected three numbers (a b g)")
+    return values
+
+
 def _choice(*options: str):
     listed = ", ".join(options[:-1]) + " or " + options[-1]
 
@@ -183,49 +122,91 @@ _INTEGER = (_integer, str)
 _TEXT = (str.strip, str)
 _FLAG = (_flag, lambda v: "true" if v else "false")
 _NUMBERS = (_numbers, lambda values: " ".join(map(repr, values)))
+_TRIPLE = (_triple, _NUMBERS[1])
 _VERTICES = (_vertices, lambda vertices: "; ".join(f"{x!r} {y!r}" for x, y in vertices))
 
-# Every [section] key outside [boundary.<name>], grouped by section:
-# (section, key, ScenarioConfig field, converter).
-_SCHEMA = (
-    ("domain", "shape", "domain_shape", _choice("rectangle", "polygon")),
-    ("domain", "width", "width", _NUMBER),
-    ("domain", "height", "height", _NUMBER),
-    ("domain", "vertices", "vertices", _VERTICES),
-    ("cloud", "type", "cloud_type", _choice("cartesian", "irregular", "csv")),
-    ("cloud", "dx", "dx", _NUMBER),
-    ("cloud", "dy", "dy", _NUMBER),
-    ("cloud", "spacing", "spacing", _NUMBER),
-    ("cloud", "seed", "seed", _INTEGER),
-    ("cloud", "jitter", "jitter", _NUMBER),
-    ("cloud", "path", "cloud_path", _TEXT),
-    ("cloud", "virtual_nodes", "virtual_nodes", _choice("auto", "none")),
-    ("radius", "multiple", "radius_multiple", _NUMBER),
-    ("radius", "absolute", "radius_absolute", _NUMBER),
-    ("rock", "permeability", "permeability", _NUMBER),
-    ("rock", "porosity", "porosity", _NUMBER),
-    ("rock", "compressibility", "compressibility", _NUMBER),
-    ("rock", "reference_pressure", "reference_pressure", _NUMBER),
-    ("fluids", "oil_viscosity", "oil_viscosity", _NUMBER),
-    ("fluids", "water_viscosity", "water_viscosity", _NUMBER),
-    ("fluids", "connate_water", "connate_water", _NUMBER),
-    ("fluids", "residual_oil", "residual_oil", _NUMBER),
-    ("initial", "pressure", "initial_pressure", _NUMBER),
-    ("initial", "water_saturation", "initial_water_saturation", _NUMBER),
-    ("time", "dt_init", "dt_init", _NUMBER),
-    ("time", "dt_max", "dt_max", _NUMBER),
-    ("time", "t_end", "t_end", _NUMBER),
-    ("time", "newton_tol", "newton_tol", _NUMBER),
-    ("time", "max_newton", "max_newton", _INTEGER),
-    ("time", "dt_grow", "dt_grow", _NUMBER),
-    ("time", "dt_cut", "dt_cut", _NUMBER),
-    ("output", "times", "output_times", _NUMBERS),
-    ("output", "directory", "output_dir", _TEXT),
-    ("output", "prefix", "prefix", _TEXT),
-    ("output", "vtk", "vtk", _FLAG),
-)
+
+def _key(default, section: str, key: str, converter=_NUMBER):
+    """A :class:`ScenarioConfig` field read from ``[section] key``."""
+    return field(default=default, metadata={"key": (section, key), "converter": converter})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    domain_shape: str = _key("rectangle", "domain", "shape", _choice("rectangle", "polygon"))
+    width: float = _key(200.0, "domain", "width")
+    height: float = _key(80.0, "domain", "height")
+    vertices: tuple[tuple[float, float], ...] = _key((), "domain", "vertices", _VERTICES)
+    cloud_type: str = _key("cartesian", "cloud", "type", _choice("cartesian", "irregular", "csv"))
+    dx: float = _key(4.0, "cloud", "dx")
+    dy: float = _key(4.0, "cloud", "dy")
+    spacing: float = _key(4.0, "cloud", "spacing")
+    seed: int = _key(0, "cloud", "seed", _INTEGER)
+    jitter: float = _key(0.3, "cloud", "jitter")
+    cloud_path: str = _key("", "cloud", "path", _TEXT)
+    virtual_nodes: str = _key("auto", "cloud", "virtual_nodes", _choice("auto", "none"))
+    radius_multiple: float | None = _key(1.001, "radius", "multiple")
+    radius_absolute: float | None = _key(None, "radius", "absolute")
+    permeability: float = _key(100.0, "rock", "permeability")
+    porosity: float = _key(0.3, "rock", "porosity")
+    compressibility: float = _key(0.0, "rock", "compressibility")
+    reference_pressure: float = _key(10.0, "rock", "reference_pressure")
+    oil_viscosity: float = _key(10.0, "fluids", "oil_viscosity")
+    water_viscosity: float = _key(2.0, "fluids", "water_viscosity")
+    connate_water: float = _key(0.2, "fluids", "connate_water")
+    residual_oil: float = _key(0.2, "fluids", "residual_oil")
+    initial_pressure: float = _key(10.0, "initial", "pressure")
+    initial_water_saturation: float = _key(0.2, "initial", "water_saturation")
+    # keyed by side name or "edgeK", from the [boundary.<name>] sections
+    boundaries: dict[str, SegmentBC] = field(default_factory=dict)
+    dt_init: float = _key(0.01, "time", "dt_init")
+    dt_max: float = _key(2.0, "time", "dt_max")
+    t_end: float = _key(500.0, "time", "t_end")
+    newton_tol: float = _key(1e-6, "time", "newton_tol")
+    max_newton: int = _key(20, "time", "max_newton", _INTEGER)
+    dt_grow: float = _key(1.5, "time", "dt_grow")
+    dt_cut: float = _key(0.5, "time", "dt_cut")
+    output_times: tuple[float, ...] = _key((), "output", "times", _NUMBERS)
+    output_dir: str = _key("out", "output", "directory", _TEXT)
+    prefix: str = _key("run", "output", "prefix", _TEXT)
+    vtk: bool = _key(False, "output", "vtk", _FLAG)
+
+    def time_control(self) -> TimeControl:
+        # every [time] key is the TimeControl field of the same name
+        return TimeControl(**{name: getattr(self, name) for section, _, name, _ in _SCHEMA if section == "time"})
+
+    def influence_radius(self) -> float:
+        if self.radius_absolute is not None:
+            return self.radius_absolute
+        if self.cloud_type == "cartesian":
+            return self.radius_multiple * float((self.dx**2 + self.dy**2) ** 0.5)
+        return self.radius_multiple * float(2.0**0.5) * self.spacing
+
+    def with_overrides(self, **kwargs) -> "ScenarioConfig":
+        return replace(self, **kwargs)
+
+
+# Every [section] key outside [boundary.<name>], in field order, so grouped
+# by section: (section, key, ScenarioConfig field, converter).
+_SCHEMA = tuple((*f.metadata["key"], f.name, f.metadata["converter"]) for f in fields(ScenarioConfig) if f.metadata)
 _SECTION_KEYS = {s: {k for s2, k, *_ in _SCHEMA if s2 == s} for s, *_ in _SCHEMA}
-_BOUNDARY_KEYS = {"kind", "pressure", "water_saturation"}
+
+# The values of a [boundary.<name>] section of each kind: the SegmentBC field
+# that each key fills, their converter, and what the kind needs, as a bad
+# value reports it.  kind = noflow is the robin 0 1 0 (SegmentBC.noflow()).
+_BOUNDARY_KINDS = {
+    "dirichlet": (
+        {"pressure": "p_value", "water_saturation": "sw_value"},
+        _NUMBER,
+        "numeric pressure and water_saturation",
+    ),
+    "robin": (
+        {"pressure": "p_robin", "water_saturation": "sw_robin"},
+        _TRIPLE,
+        "'a b g' triples for pressure and water_saturation",
+    ),
+}
+_BOUNDARY_KEYS = {"kind"}.union(*(keys for keys, _, _ in _BOUNDARY_KINDS.values()))
 
 
 def _missing_sides(config: ScenarioConfig) -> list[str]:
@@ -259,13 +240,6 @@ def _boundary_edges(config: ScenarioConfig) -> list[tuple[str, tuple[float, floa
         (name, vertices[k], vertices[(k + 1) % n], config.boundaries.get(name) or SegmentBC.noflow())
         for k, name in enumerate(names)
     ]
-
-
-def _parse_triple(text: str):
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ValueError("expected three numbers (a b g)")
-    return tuple(_number(v) for v in parts)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -306,25 +280,14 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         name = section.split(".", 1)[1]
         kind = cp.get(section, "kind", fallback="").strip().lower()
-        if kind == "dirichlet":
-            try:
-                boundaries[name] = SegmentBC.dirichlet(
-                    _number(cp.get(section, "pressure")),
-                    _number(cp.get(section, "water_saturation")),
-                )
-            except (configparser.NoOptionError, ValueError):
-                problems.append(f"[{section}] dirichlet needs numeric pressure and water_saturation")
-        elif kind == "noflow":
+        if kind == "noflow":
             boundaries[name] = SegmentBC.noflow()
-        elif kind == "robin":
+        elif kind in _BOUNDARY_KINDS:
+            keys, (parse, _show), needs = _BOUNDARY_KINDS[kind]
             try:
-                boundaries[name] = SegmentBC(
-                    "robin",
-                    p_robin=_parse_triple(cp.get(section, "pressure")),
-                    sw_robin=_parse_triple(cp.get(section, "water_saturation")),
-                )
+                boundaries[name] = SegmentBC(kind, **{f: parse(cp.get(section, key)) for key, f in keys.items()})
             except (configparser.NoOptionError, ValueError):
-                problems.append(f"[{section}] robin needs 'a b g' triples for pressure and water_saturation")
+                problems.append(f"[{section}] {kind} needs {needs}")
         else:
             problems.append(f"[{section}] kind: must be dirichlet, noflow or robin, got {kind!r}")
     values["boundaries"] = boundaries
@@ -421,16 +384,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 if a == 0 and b == 0:
                     problems.append(f"[boundary.{name}] {key}: robin a = b = 0 constrains nothing")
 
-    if not (0 < config.dt_init <= config.dt_max):
-        problems.append("[time] need 0 < dt_init <= dt_max")
-    if config.t_end < 0:
-        problems.append("[time] t_end must be nonnegative")
-    if config.newton_tol <= 0:
-        problems.append("[time] newton_tol must be positive")
-    if config.max_newton < 1:
-        problems.append("[time] max_newton must be at least 1")
-    if not (config.dt_grow > 1 > config.dt_cut > 0):
-        problems.append("[time] need dt_grow > 1 > dt_cut > 0")
+    problems += [f"[time] {message}" for message in _broken_time_rules(config)]
     return problems
 
 
@@ -468,13 +422,6 @@ def serialize_config(config: ScenarioConfig) -> str:
         sect(section, [(key, show(value)) for key, show, value in fields if value is not None])
     for name in sorted(config.boundaries):
         bc = config.boundaries[name]
-        pairs = [("kind", bc.kind)]
-        if bc.kind == "dirichlet":
-            pairs += [("pressure", repr(bc.p_value)), ("water_saturation", repr(bc.sw_value))]
-        elif bc.kind == "robin":
-            pairs += [
-                ("pressure", " ".join(repr(v) for v in bc.p_robin)),
-                ("water_saturation", " ".join(repr(v) for v in bc.sw_robin)),
-            ]
-        sect(f"boundary.{name}", pairs)
+        keys, (_parse, show), _needs = _BOUNDARY_KINDS[bc.kind]
+        sect(f"boundary.{name}", [("kind", bc.kind)] + [(key, show(getattr(bc, f))) for key, f in keys.items()])
     return out.getvalue()

@@ -36,21 +36,18 @@ def build_cloud(config: ScenarioConfig) -> NodeCloud:
     """Cloud per the configuration, virtual nodes already inserted."""
     if config.cloud_type == "csv":
         cloud = read_cloud_csv(config.cloud_path)
-        offset = cloud.h
     else:
         edges = _boundary_edges(config)
         kinds = {name: _node_kind(bc) for name, _, _, bc in edges}
         if config.cloud_type == "cartesian":
             cloud = generate_cartesian_cloud(config.width, config.height, config.dx, config.dy, kinds)
-            offset = min(config.dx, config.dy)
         else:
             vertices = [start for _, start, _, _ in edges]
             cloud = generate_irregular_cloud(
                 vertices, config.spacing, config.seed, jitter=config.jitter, edge_kinds=list(kinds.values())
             )
-            offset = config.spacing
     if cloud.n_virtual == 0 and config.virtual_nodes == "auto":
-        cloud = add_virtual_nodes(cloud, offset)
+        cloud = add_virtual_nodes(cloud, cloud.h)
     return cloud
 
 

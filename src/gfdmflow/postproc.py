@@ -63,10 +63,12 @@ class FieldSnapshot:
             if not row:
                 continue
             try:
-                t, x, y, p, sw = (float(v) for v in row)
+                t, x, y, p, sw = values = tuple(float(v) for v in row)
             except ValueError as exc:
                 raise GfdmFlowError(f"snapshot CSV line {line}: expected five numbers, got {row!r}") from exc
-            body.append((t, x, y, p, sw))
+            if not np.all(np.isfinite(values)):
+                raise GfdmFlowError(f"snapshot CSV line {line}: values must be finite, got {row!r}")
+            body.append(values)
         if not body:
             raise GfdmFlowError("snapshot CSV holds no data rows")
         body = np.array(body)

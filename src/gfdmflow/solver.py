@@ -68,16 +68,26 @@ class TimeControl:
     max_cuts: int = 10
 
     def __post_init__(self):
-        if not (0 < self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_init <= dt_max")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
-        if not (self.dt_grow > 1 > self.dt_cut > 0):
-            raise ValueError("need dt_grow > 1 > dt_cut > 0")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        broken = _broken_time_rules(self)
+        if broken:
+            raise ValueError(broken[0])
+
+
+def _broken_time_rules(tc) -> list[str]:
+    """The message of each time-control rule that ``tc`` breaks, in order.
+
+    ``tc`` is anything with :class:`TimeControl`'s field names, such as a
+    :class:`~gfdmflow.config.ScenarioConfig`.  Each predicate names the
+    broken case, so a NaN fails only the rules written as ``not (...)``.
+    """
+    rules = (
+        (not (0 < tc.dt_init <= tc.dt_max), "need 0 < dt_init <= dt_max"),
+        (tc.t_end < 0, "t_end must be nonnegative"),
+        (tc.newton_tol <= 0, "newton_tol must be positive"),
+        (tc.max_newton < 1, "max_newton must be at least 1"),
+        (not (tc.dt_grow > 1 > tc.dt_cut > 0), "need dt_grow > 1 > dt_cut > 0"),
+    )
+    return [message for broken, message in rules if broken]
 
 
 @dataclass(frozen=True)
@@ -368,23 +378,17 @@ def advance(
         raise ValueError("dt must lie in (0, dt_max]")
     cuts = 0
     restarts = 0
-    last_norm = np.inf
     while True:
         x = (x_old if x_start is None else x_start).copy()
-        converged = False
         iters = 0
         norm = float(np.linalg.norm(problem.residual(x, x_old, dt), ord=np.inf))
-        if norm <= tc.newton_tol:
-            converged = True
         try:
-            while not converged and iters < tc.max_newton:
+            while norm > tc.newton_tol and iters < tc.max_newton:
                 x, norm = newton_step(problem, x, x_old, dt, linear_solver)
                 iters += 1
-                if norm <= tc.newton_tol:
-                    converged = True
         except LinearSolveError:
-            converged = False
-        if converged:
+            pass  # norm keeps its last value, which is above the tolerance
+        if norm <= tc.newton_tol:
             record = StepRecord(t=t + dt, dt=dt, newton_iters=iters, residual_norm=norm)
             dt_next = min(dt * tc.dt_grow, tc.dt_max)
             return x, record, dt_next, cuts, restarts
@@ -392,13 +396,12 @@ def advance(
             x_start = None
             restarts += 1
             continue
-        last_norm = norm
         cuts += 1
         if cuts > tc.max_cuts:
             raise TimeStepCollapseError(
                 f"time step collapse at t={t:.6g}: {tc.max_cuts} cuts from "
                 f"dt={dt / tc.dt_cut ** (cuts - 1):.3g} reached dt={dt:.3g}, "
-                f"last residual norm {last_norm:.3e}"
+                f"last residual norm {norm:.3e}"
             )
         dt = dt * tc.dt_cut
 

@@ -223,6 +223,27 @@ class TestConfigParsing:
         cfg = load_config(CONFIGS / "waterflood_4m.cfg").with_overrides(spacing=2.5, seed=11, jitter=0.1)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"dt_init": 3.0}, "need 0 < dt_init <= dt_max"),
+            ({"t_end": -5.0}, "t_end must be nonnegative"),
+            ({"newton_tol": 0.0}, "newton_tol must be positive"),
+            ({"max_newton": 0}, "max_newton must be at least 1"),
+            ({"dt_cut": 1.0}, "need dt_grow > 1 > dt_cut > 0"),
+        ],
+        ids=["dt-order", "t-end", "newton-tol", "max-newton", "dt-grow-cut"],
+    )
+    def test_time_rule_messages_agree(self, override, message):
+        # the config reports each broken rule with the text TimeControl raises
+        cfg = parse_config(SMALL).with_overrides(**override)
+        with pytest.raises(ConfigError) as err:
+            parse_config(serialize_config(cfg))
+        assert err.value.problems == [f"[time] {message}"]
+        with pytest.raises(ValueError) as err:
+            cfg.time_control()
+        assert str(err.value) == message
+
     def test_shipped_configs_parse(self):
         for name in ("waterflood_4m.cfg", "waterflood_polygon.cfg", "diagnose_layouts.cfg"):
             cfg = load_config(CONFIGS / name)
@@ -453,14 +474,30 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "body",
-        [b"", b"0.0,1.0,2.0,x,0.5\n", b"0.0,1.0,2.0\n", b"0.0,1.0,2.0,3.0,\xff\n"],
-        ids=["header-only", "non-numeric", "short-row", "undecodable"],
+        [b"", b"0.0,1.0,2.0,x,0.5\n", b"0.0,1.0,2.0\n", b"0.0,1.0,2.0,3.0,\xff\n",
+         b"0.0,1.0,2.0,nan,0.5\n", b"0.0,inf,2.0,3.0,0.5\n"],
+        ids=["header-only", "non-numeric", "short-row", "undecodable", "nan-p", "infinite-x"],
     )
     def test_compare_malformed_snapshot_exit_code(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"time,x,y,p,Sw\n" + body)
         assert main(["compare", str(bad), str(bad)]) == 3
         assert "snapshot CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows_b, problem",
+        [
+            ("0.0,0.0,0.0,10.0,0.5\n", "different node counts"),
+            ("0.0,0.0,0.0,10.0,0.5\n0.0,4.5,0.0,10.0,0.5\n", "not on matching node coordinates"),
+        ],
+        ids=["node-count", "coordinates"],
+    )
+    def test_compare_mismatched_snapshots_exit_code(self, tmp_path, capsys, rows_b, problem):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("time,x,y,p,Sw\n0.0,0.0,0.0,10.0,0.5\n0.0,4.0,0.0,10.0,0.5\n")
+        b.write_text("time,x,y,p,Sw\n" + rows_b)
+        assert main(["compare", str(a), str(b)]) == 3
+        assert problem in capsys.readouterr().err
 
 
 class TestConvergenceDriver:

@@ -556,6 +556,12 @@ class TestAdvance:
         with pytest.raises(TimeStepCollapseError, match="collapse"):
             advance(problem, np.array([1.0]), 0.0, 1.0, tc)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, 1.5, np.nan], ids=["zero", "negative", "above-dt-max", "nan"])
+    def test_dt_outside_range_rejected(self, dt):
+        tc = TimeControl(dt_init=1.0, dt_max=1.0, t_end=2.0)
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, dt_max\]"):
+            advance(ScalarProblem(), np.array([1.0]), 0.0, dt, tc)
+
     def test_no_newton_iterations_rejected(self):
         # with no iteration allowed every step would be cut until collapse
         with pytest.raises(ValueError, match="max_newton"):
