@@ -13,14 +13,15 @@ spells of a machine whose speed drifts.  It then appends, for each
 checkout, one entry to ``BENCH_<workload>.json`` in this repository's root.
 Entries are only ever appended.
 
-An entry holds the checkout's commit, the seeds, every run's metrics, the
-median and quartiles of each end-to-end metric over the runs, whether every
-run was correct, the executions attempted and failed, a machine note and
-the speed index.  The index is the median time of 20 ``splu`` calls on the
-first Jacobian of ``waterflood_4m_r2``, built by this repository's code.
-The raw seconds stay as measured; ``per_index`` divides the time medians
-by the index, so entries from fast and slow spells of the machine can be
-compared.
+An entry holds the checkout's commit, whether the files a run reads
+(``MEASURED``) differ from it or hold untracked files (``dirty``), the
+seeds, every run's metrics, the median and quartiles of each end-to-end
+metric over the runs, whether every run was correct, the executions
+attempted and failed, a machine note and the speed index.  The index is
+the median time of 20 ``splu`` calls on the first Jacobian of
+``waterflood_4m_r2``, built by this repository's code.  The raw seconds
+stay as measured; ``per_index`` divides the time medians by the index, so
+entries from fast and slow spells of the machine can be compared.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INDEX_CALLS = 20
 RUNS = 10  # the fewest alternating pairs that can show a difference
+# what a perfbench run reads; edits elsewhere (docs, BENCH files) leave an entry clean
+MEASURED = ("src", "perfbench", "configs", "BENCHMARK.json")
 
 
 def speed_index() -> float:
@@ -103,7 +106,7 @@ def entry(checkout: Path, workload: str, runs: list[dict], index: float, note: s
     return {
         "workload": workload,
         "commit": git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(git(checkout, "status", "--porcelain", "--", *MEASURED)),
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "seeds": [r["seed"] for r in runs],
         "seconds": seconds,

@@ -30,7 +30,7 @@ from .errors import (
     TimeStepCollapseError,
     UnphysicalValueError,
 )
-from .fdm import FdmGrid, FdmSystem, relative_error, run_fdm
+from .fdm import FdmGrid, FdmSystem, relative_error
 from .operators import build_operators, stencil_quality, weight
 from .physics import (
     ReservoirModel,

@@ -106,10 +106,9 @@ def _select_nodes(cloud, selector: str) -> np.ndarray:
         return non_virtual
     if selector.startswith("kind="):
         want = selector.split("=", 1)[1].strip().lower()
-        table = {"interior": NodeKind.INTERIOR, "dirichlet": NodeKind.DIRICHLET, "robin": NodeKind.ROBIN}
-        if want not in table:
+        if want not in ("interior", "dirichlet", "robin"):
             raise SetupError(f"unknown kind selector {want!r}")
-        return cloud.ids_of_kind(table[want])
+        return cloud.ids_of_kind(NodeKind[want.upper()])
     try:
         ids = np.array([int(v) for v in selector.replace(",", " ").split()], dtype=np.int64)
     except ValueError as exc:

@@ -10,7 +10,6 @@ from multiple threads (the spatial index that the stencil search of
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping, Sequence
@@ -39,15 +38,6 @@ class NodeKind(IntEnum):
     DIRICHLET = 1
     ROBIN = 2
     VIRTUAL = 3
-
-
-_KIND_NAMES = {
-    NodeKind.INTERIOR: "interior",
-    NodeKind.DIRICHLET: "dirichlet",
-    NodeKind.ROBIN: "robin",
-    NodeKind.VIRTUAL: "virtual",
-}
-_KIND_FROM_NAME = {v: k for k, v in _KIND_NAMES.items()}
 
 
 def point_segment_distance2(x, y, a, b):
@@ -221,15 +211,11 @@ def lattice_sides(nx: int, ny: int):
     return ix, iy, np.column_stack([iy == 0, ix == nx - 1, iy == ny - 1, ix == 0])
 
 
-def _edge_kinds(kinds: Sequence[str | NodeKind], names: Sequence[str]) -> np.ndarray:
-    out = []
+def _edge_kinds(kinds: Sequence[str], names: Sequence[str]) -> np.ndarray:
     for name, k in zip(names, kinds):
-        if isinstance(k, str):
-            k = _KIND_FROM_NAME.get(k.lower())
-        if k not in (NodeKind.DIRICHLET, NodeKind.ROBIN):
+        if k.lower() not in ("dirichlet", "robin"):
             raise CloudError(f"{name}: boundary kind must be dirichlet or robin")
-        out.append(k)
-    return np.array(out)
+    return np.array([NodeKind[k.upper()] for k in kinds])
 
 
 def _classify_nodes(incidence: np.ndarray, edge_kinds: np.ndarray, edge_normals: np.ndarray):
@@ -260,7 +246,7 @@ def generate_cartesian_cloud(
     y_extent: float,
     dx: float,
     dy: float,
-    boundary_kinds: Mapping[str, str | NodeKind],
+    boundary_kinds: Mapping[str, str],
 ) -> NodeCloud:
     """Lattice cloud on ``[0, x_extent] x [0, y_extent]``.
 
@@ -327,7 +313,7 @@ def generate_irregular_cloud(
     target_spacing: float,
     seed: int,
     jitter: float = 0.3,
-    edge_kinds: Sequence[str | NodeKind] | None = None,
+    edge_kinds: Sequence[str] | None = None,
 ) -> NodeCloud:
     """Jittered-lattice cloud inside a simple CCW polygon.
 
@@ -446,14 +432,14 @@ def write_cloud_csv(cloud: NodeCloud, path) -> None:
         for i, ((x, y), kind, normal, host) in enumerate(zip(*columns)):
             normal = [repr(v) for v in normal] if kind == NodeKind.ROBIN else ["", ""]
             host = str(host) if kind == NodeKind.VIRTUAL else ""
-            writer.writerow([i, repr(x), repr(y), _KIND_NAMES[kind], *normal, host])
+            writer.writerow([i, repr(x), repr(y), NodeKind(kind).name.lower(), *normal, host])
 
 
 def _parse_row(k: int, row: list[str]):
     """Position, kind, normal and host of node ``k`` from its CSV row; the
     normal cells belong to robin rows and the host cell to virtual rows."""
     nid, x, y, kind_name, nx, ny, host = (c.strip() for c in row)
-    kind = _KIND_FROM_NAME[kind_name.lower()]
+    kind = NodeKind[kind_name.upper()]
     if int(nid) != k:
         raise ValueError(f"node id {nid} where id {k} is next")
     position = float(x), float(y)
@@ -467,19 +453,16 @@ def _parse_row(k: int, row: list[str]):
     return position, kind, normal, int(host) if host else -1
 
 
-def read_cloud_csv(path_or_text, h: float | None = None, domain: Polygon | None = None) -> NodeCloud:
-    """Load a cloud from the fixture CSV format.
+def read_cloud_csv(path, h: float | None = None, domain: Polygon | None = None) -> NodeCloud:
+    """Load a cloud from a file in the fixture CSV format.
 
     When ``h`` is omitted it is estimated as the median nearest-neighbor
     distance of the non-virtual nodes.  A malformed row raises
     :class:`CloudError` naming its line.
     """
     try:
-        if isinstance(path_or_text, str) and "\n" in path_or_text:
-            rows = list(csv.reader(io.StringIO(path_or_text)))
-        else:
-            with open(path_or_text, newline="") as fh:
-                rows = list(csv.reader(fh))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise CloudError(f"cannot read cloud CSV: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:

@@ -34,8 +34,9 @@ class SegmentBC:
     ``kind`` is ``dirichlet``, holding the values ``p_value`` and
     ``sw_value``, or ``robin``, holding one ``(a, b, g)`` triple per variable
     for ``a*u + b*du/dn = g`` (named a/b/g to keep clear of the flux unit
-    constant).  No-flow is the robin triple ``(0, 1, 0)``.  Both solvers
-    build their boundary rows straight from it.
+    constant).  No-flow is the robin triple ``(0, 1, 0)``.  Any other set of
+    fields raises :class:`ValueError`.  Both solvers build their boundary
+    rows straight from it.
     """
 
     kind: str
@@ -43,6 +44,12 @@ class SegmentBC:
     sw_value: float | None = None
     p_robin: tuple[float, float, float] | None = None
     sw_robin: tuple[float, float, float] | None = None
+
+    def __post_init__(self):
+        # a kind holds exactly the fields its row of _BOUNDARY_KINDS fills
+        held = _BOUNDARY_KINDS[self.kind][0].values() if self.kind in _BOUNDARY_KINDS else ()
+        if not held or any((getattr(self, f.name) is None) == (f.name in held) for f in fields(self)[1:]):
+            raise ValueError(f"{self}: dirichlet holds p_value and sw_value only, robin p_robin and sw_robin only")
 
     @classmethod
     def dirichlet(cls, p_value: float, sw_value: float) -> "SegmentBC":

@@ -1,11 +1,14 @@
-"""Reference upwind finite-difference solver on Cartesian grids.
+"""Reference upwind finite-difference discretization on Cartesian grids.
 
-Node-centered five-point two-point-flux discretization with the same
-constitutive laws and Newton/time machinery as the meshless solver, but a
-completely independent spatial discretization: pair coefficients are plain
-``1/dx^2`` / ``1/dy^2`` lattice transmissibilities, closed sides are handled
-by omitting the missing flux, and no stencil/least-squares machinery is
-involved.  Unknowns sit on the same lattice coordinates as a Cartesian node
+Node-centered five-point two-point-flux system with the same constitutive
+laws as the meshless one but a completely independent spatial
+discretization: pair coefficients are plain ``1/dx^2`` / ``1/dy^2`` lattice
+transmissibilities, closed sides are handled by omitting the missing flux,
+and no stencil/least-squares machinery is involved.  Like the meshless
+:class:`~gfdmflow.assembly.ImplicitSystem`, :class:`FdmSystem` is a
+:class:`~gfdmflow.assembly.PairFluxSystem` that
+:func:`~gfdmflow.solver.simulate` marches with the same Newton and time-step
+control.  Unknowns sit on the same lattice coordinates as a Cartesian node
 cloud, so fields compare without interpolation.
 """
 
@@ -20,10 +23,9 @@ from .assembly import AffineRow, PairFluxSystem, robin_triples
 from .cloud import CORNER_ORDER, SIDES, lattice_sides
 from .config import SegmentBC
 from .errors import SetupError
-from .physics import ReservoirModel, SimState
-from .solver import TimeControl, simulate
+from .physics import ReservoirModel
 
-__all__ = ["FdmGrid", "FdmSystem", "run_fdm", "relative_error"]
+__all__ = ["FdmGrid", "FdmSystem", "relative_error"]
 
 
 @dataclass(frozen=True)
@@ -103,27 +105,6 @@ class FdmSystem(PairFluxSystem):
         super().__init__(
             model, grid.n_nodes, flow_ids, np.concatenate(pi), np.concatenate(pj), np.concatenate(coef), const_rows
         )
-
-
-def run_fdm(
-    model: ReservoirModel,
-    grid: FdmGrid,
-    side_specs: Mapping[str, SegmentBC],
-    tc: TimeControl,
-    p_init: float,
-    sw_init: float,
-    output_times=(),
-):
-    """March the reference solver; returns ``({time: SimState}, report)``.
-
-    ``side_specs`` maps each rectangle side to its
-    :class:`~gfdmflow.config.SegmentBC`, as :class:`FdmSystem` takes it.
-    """
-    system = FdmSystem(grid, model, side_specs)
-    x0 = SimState(np.full(grid.n_nodes, p_init), np.full(grid.n_nodes, sw_init)).to_vector()
-    raw, report = simulate(system, x0, tc, output_times)
-    states = {t: SimState.from_vector(x, t) for t, x in raw.items()}
-    return states, report
 
 
 def relative_error(u, u_ref) -> float:

@@ -19,7 +19,7 @@ from .cloud import (
 )
 from .config import ScenarioConfig, SegmentBC, _boundary_edges
 from .errors import SetupError
-from .fdm import FdmGrid, run_fdm
+from .fdm import FdmGrid, FdmSystem
 from .operators import build_operators
 from .physics import ReservoirModel, SimState
 from .postproc import FieldSnapshot, snapshot_from_state
@@ -28,17 +28,13 @@ from .solver import SolverReport, simulate
 __all__ = ["ScenarioRun", "build_cloud", "build_model", "assign_boundary_specs", "run_scenario", "run_fdm_scenario"]
 
 
-def _node_kind(bc: SegmentBC) -> NodeKind:
-    return NodeKind.DIRICHLET if bc.kind == "dirichlet" else NodeKind.ROBIN
-
-
 def build_cloud(config: ScenarioConfig) -> NodeCloud:
     """Cloud per the configuration, virtual nodes already inserted."""
     if config.cloud_type == "csv":
         cloud = read_cloud_csv(config.cloud_path)
     else:
         edges = _boundary_edges(config)
-        kinds = {name: _node_kind(bc) for name, _, _, bc in edges}
+        kinds = {name: bc.kind for name, _, _, bc in edges}
         if config.cloud_type == "cartesian":
             cloud = generate_cartesian_cloud(config.width, config.height, config.dx, config.dy, kinds)
         else:
@@ -82,7 +78,7 @@ def assign_boundary_specs(cloud: NodeCloud, config: ScenarioConfig) -> dict[int,
     x, y = cloud.positions[ids, 0], cloud.positions[ids, 1]
     chosen = np.full(len(ids), -1)
     for e, (_, a, b, bc) in enumerate(edges):
-        on = (cloud.kinds[ids] == _node_kind(bc)) & (point_segment_distance2(x, y, a, b) <= tol * tol)
+        on = (cloud.kinds[ids] == NodeKind[bc.kind.upper()]) & (point_segment_distance2(x, y, a, b) <= tol * tol)
         chosen[on & (chosen < 0)] = e
     if np.any(chosen < 0):
         k = int(np.argmax(chosen < 0))
@@ -105,20 +101,21 @@ class ScenarioRun:
         return max(self.states)
 
 
+def _march(config: ScenarioConfig, system, tc) -> tuple[dict[float, SimState], SolverReport]:
+    """March ``system`` from the configuration's uniform initial state."""
+    n = system.n_nodes
+    x0 = SimState(np.full(n, config.initial_pressure), np.full(n, config.initial_water_saturation)).to_vector()
+    raw, report = simulate(system, x0, tc, config.output_times)
+    return {t: SimState.from_vector(x, t) for t, x in raw.items()}, report
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioRun:
     """Execute the meshless pipeline end to end."""
     cloud = build_cloud(config)
     ops = build_operators(cloud, config.influence_radius())
     model = build_model(config, len(cloud))
-    specs = assign_boundary_specs(cloud, config)
-    system = ImplicitSystem(cloud, ops, model, specs)
-    x0 = SimState(
-        np.full(len(cloud), config.initial_pressure),
-        np.full(len(cloud), config.initial_water_saturation),
-    ).to_vector()
-    raw, report = simulate(system, x0, config.time_control(), config.output_times)
-    states = {t: SimState.from_vector(x, t) for t, x in raw.items()}
-    return ScenarioRun(cloud, states, report)
+    system = ImplicitSystem(cloud, ops, model, assign_boundary_specs(cloud, config))
+    return ScenarioRun(cloud, *_march(config, system, config.time_control()))
 
 
 def fdm_side_specs(config: ScenarioConfig) -> dict[str, SegmentBC]:
@@ -149,17 +146,8 @@ def run_fdm_scenario(
     nx = int(round(config.width / dx)) + 1
     ny = int(round(config.height / dy)) + 1 if strip_ny is None else int(strip_ny)
     grid = FdmGrid(nx=nx, ny=ny, dx=dx, dy=dy)
-    model = build_model(config, grid.n_nodes)
     tc = config.time_control()
     if dt_max is not None:
         tc = replace(tc, dt_init=min(tc.dt_init, dt_max), dt_max=dt_max)
-    states, report = run_fdm(
-        model,
-        grid,
-        side_specs,
-        tc,
-        p_init=config.initial_pressure,
-        sw_init=config.initial_water_saturation,
-        output_times=config.output_times,
-    )
-    return grid, states, report
+    system = FdmSystem(grid, build_model(config, grid.n_nodes), side_specs)
+    return (grid, *_march(config, system, tc))

@@ -388,6 +388,21 @@ def test_strip_reference_equivalence():
     assert np.max(np.abs(mid_full - mid_strip)) < 1e-12
 
 
+def test_full_height_reference_matches_strip():
+    """The full-height reference answers every lattice point of the 4 m
+    cloud with the strip reference's profile, and refuses off-lattice x and y."""
+    cfg = full_waterflood_config(t_end=40.0, output_times=(40.0,))
+    full = build_reference(cfg, dx=2.0, dt_max=2.0, strip_ny=None)
+    strip = build_reference(cfg, dx=2.0, dt_max=2.0, strip_ny=5)
+    assert not full.y_invariant and strip.y_invariant
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(0.0, 201.0, 4.0), np.arange(0.0, 81.0, 4.0)))
+    for got, want in zip(full.sample(x, y), strip.sample(x, y)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    for x_off, y_off in ((1.0, 4.0), (4.0, 1.0)):
+        with pytest.raises(gf.GfdmFlowError, match="not on the reference lattice"):
+            full.sample([0.0, x_off], [0.0, y_off])
+
+
 @pytest.mark.slow
 def test_large_step_flood_needs_no_cut_or_restart():
     """Stress run: the shipped 4 m flood at r = 2.001 with steps up to 20 d.

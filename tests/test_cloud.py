@@ -342,9 +342,10 @@ class TestCsvRoundTrip:
         path.write_bytes(b"id,x,y,kind,n_x,n_y,host\n0,0.0,0.0,interi\xffor,,,\n")
         with pytest.raises(CloudError, match="cannot read"):
             read_cloud_csv(path)
-        # a bare carriage return inside a row of CSV text
+        # a bare carriage return inside a row
+        path.write_text("id,x,y,kind,n_x,n_y,host\n0,0.0,0.0,interior,\r,,\n", newline="")
         with pytest.raises(CloudError, match="cannot read"):
-            read_cloud_csv("id,x,y,kind,n_x,n_y,host\n0,0.0,0.0,interior,\r,,\n")
+            read_cloud_csv(path)
 
     def test_inferred_spacing(self, tmp_path):
         cloud = generate_cartesian_cloud(8, 8, 2, 2, WATERFLOOD_SIDES)

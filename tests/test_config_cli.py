@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gfdmflow
-from gfdmflow import ConfigError, SetupError, load_config, parse_config, serialize_config
+from gfdmflow import ConfigError, SegmentBC, SetupError, load_config, parse_config, serialize_config
 from gfdmflow.cli import main
 from gfdmflow.postproc import FieldSnapshot
 from gfdmflow.study import convergence_study
@@ -244,6 +244,20 @@ class TestConfigParsing:
             cfg.time_control()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "noflow"},
+            {"kind": "dirichlet", "p_value": 15.0},
+            {"kind": "robin", "p_robin": (0.0, 1.0, 0.0)},
+            {"kind": "dirichlet", "p_value": 15.0, "sw_value": 0.8, "sw_robin": (0.0, 1.0, 0.0)},
+        ],
+        ids=["unknown-kind", "dirichlet-without-sw", "robin-one-triple", "dirichlet-with-triple"],
+    )
+    def test_malformed_segment_bc_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="dirichlet holds p_value and sw_value only"):
+            SegmentBC(**kwargs)
+
     def test_shipped_configs_parse(self):
         for name in ("waterflood_4m.cfg", "waterflood_polygon.cfg", "diagnose_layouts.cfg"):
             cfg = load_config(CONFIGS / name)
@@ -412,6 +426,20 @@ class TestDiagnoseCommand:
         for selector in ("abc", "1,x"):
             assert main(["diagnose", str(tiny_config_path), "--nodes", selector]) == 3
             assert repr(selector) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "selector, message",
+        [
+            ("kind=virtual", "unknown kind selector"),
+            ("kind=blob", "unknown kind selector"),
+            ("999", "matches nothing"),
+        ],
+        ids=["virtual", "unknown-kind", "id-beyond-cloud"],
+    )
+    def test_bad_selector_fails(self, tiny_config_path, tmp_path, monkeypatch, capsys, selector, message):
+        monkeypatch.setenv("GFDMFLOW_OUTDIR", str(tmp_path))
+        assert main(["diagnose", str(tiny_config_path), "--nodes", selector]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, node", [([], 4), (["--degenerate", "inverse"], 108)], ids=["raise", "inverse"]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +11,23 @@ from gfdmflow import (
     ReservoirModel,
     SegmentBC,
     SetupError,
+    SimState,
     TimeControl,
     add_virtual_nodes,
     build_operators,
     generate_cartesian_cloud,
+    load_config,
+    read_cloud_csv,
     relative_error,
-    run_fdm,
     run_fdm_scenario,
     run_scenario,
+    simulate,
 )
 from gfdmflow.pipeline import assign_boundary_specs, build_cloud, build_model, fdm_side_specs
 
 from conftest import waterflood_config
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CLOSED = SegmentBC.noflow()
 
 SIDES = {
@@ -59,8 +64,9 @@ class TestRunFdm:
             "bottom": CLOSED,
         }
         tc = TimeControl(dt_init=0.5, dt_max=2.0, t_end=10.0)
-        states, report = run_fdm(model, grid, sides, tc, p_init=10.0, sw_init=0.2)
-        final = states[10.0]
+        x0 = SimState(np.full(grid.n_nodes, 10.0), np.full(grid.n_nodes, 0.2)).to_vector()
+        raw, _ = simulate(FdmSystem(grid, model, sides), x0, tc)
+        final = SimState.from_vector(raw[10.0], 10.0)
         assert np.max(np.abs(final.p - 10.0)) <= 1e-12
         assert np.max(np.abs(final.sw - 0.2)) <= 1e-12
 
@@ -68,9 +74,11 @@ class TestRunFdm:
         grid = FdmGrid(nx=11, ny=5, dx=4.0, dy=4.0)
         model = ReservoirModel.uniform(grid.n_nodes)
         tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=40.0)
-        states, _ = run_fdm(model, grid, SIDES, tc, p_init=10.0, sw_init=0.2)
-        sw = states[40.0].sw.reshape(grid.nx, grid.ny)
-        p = states[40.0].p.reshape(grid.nx, grid.ny)
+        x0 = SimState(np.full(grid.n_nodes, 10.0), np.full(grid.n_nodes, 0.2)).to_vector()
+        raw, _ = simulate(FdmSystem(grid, model, SIDES), x0, tc)
+        final = SimState.from_vector(raw[40.0], 40.0)
+        sw = final.sw.reshape(grid.nx, grid.ny)
+        p = final.p.reshape(grid.nx, grid.ny)
         assert np.max(np.abs(sw - sw[:, ::-1])) <= 1e-10
         assert np.max(np.abs(p - p[:, :1])) <= 1e-10
 
@@ -78,14 +86,7 @@ class TestRunFdm:
         grid = FdmGrid(nx=3, ny=3, dx=1.0, dy=1.0)
         model = ReservoirModel.uniform(grid.n_nodes)
         with pytest.raises(SetupError, match="side"):
-            run_fdm(
-                model,
-                grid,
-                {"left": CLOSED},
-                TimeControl(dt_init=0.1, dt_max=1.0, t_end=1.0),
-                10.0,
-                0.2,
-            )
+            FdmSystem(grid, model, {"left": CLOSED})
 
 
 class TestBoundaryConsistency:
@@ -114,6 +115,24 @@ class TestBoundaryConsistency:
         assert report.steps == want_report.steps
         assert np.array_equal(states[2.0].p, want_states[2.0].p)
         assert np.array_equal(states[2.0].sw, want_states[2.0].sw)
+
+
+class TestScenarioSetupErrors:
+    def test_fdm_needs_rectangle(self):
+        config = load_config(CONFIGS / "waterflood_polygon.cfg")
+        with pytest.raises(SetupError, match="needs a rectangular domain"):
+            run_fdm_scenario(config)
+
+    def test_fdm_spacing_must_divide_width(self):
+        config = load_config(CONFIGS / "waterflood_4m.cfg")
+        with pytest.raises(SetupError, match="must divide the domain width"):
+            run_fdm_scenario(config, dx=3.0)
+
+    def test_csv_node_off_every_edge(self):
+        # the fixture's boundary row runs from x = -2, left of the rectangle
+        path = CONFIGS / "fixtures" / "layout_single_virtual_row.csv"
+        with pytest.raises(SetupError, match=r"boundary node 0 at \(-2.0, 0.0\) matches no boundary segment"):
+            assign_boundary_specs(read_cloud_csv(path), waterflood_config())
 
 
 class TestCornerRule:
