@@ -9,15 +9,19 @@ machine-speed index, then runs ``perfbench/run.py --trace 0`` of every
 checkout ``RUNS`` times, with seeds 1..RUNS and the benchmark's
 ``run_seconds``.  Runs alternate between the checkouts and the order flips
 from round to round (A B, B A, A B, ...), so the checkouts see the same
-spells of a machine whose speed drifts.  It then appends, for each
-checkout, one entry to ``BENCH_<workload>.json`` in this repository's root.
-Entries are only ever appended.
+spells of a machine whose speed drifts.  One ``--trace 1`` run of every
+checkout, seed 1, follows.  It then appends, for each checkout, one entry
+to ``BENCH_<workload>.json`` in this repository's root.  Entries are only
+ever appended.
 
 An entry holds the checkout's commit, whether the files a run reads
 (``MEASURED``) differ from it or hold untracked files (``dirty``), the
 seeds, every run's metrics, the median and quartiles of each end-to-end
 metric over the runs, whether every run was correct, the executions
-attempted and failed, a machine note and the speed index.  The index is
+attempted and failed, the traced run's per-layer medians (``traced``: layer
+times such as ``operators.build_s`` and counts such as
+``assembly.residual_calls``, so an entry shows where a change's time went),
+a machine note and the speed index.  The index is
 the median time of 20 ``splu`` calls on the first Jacobian of
 ``waterflood_4m_r2``, built by this repository's code.  The raw seconds
 stay as measured; ``per_index`` divides the time medians by the index, so
@@ -65,10 +69,10 @@ def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its final JSON line, with the seed."""
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run: its final JSON line, with the seed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -97,7 +101,9 @@ def machine_note() -> str:
             f"numpy {numpy.__version__}, scipy {scipy.__version__}")
 
 
-def entry(checkout: Path, workload: str, runs: list[dict], index: float, note: str, seconds: float) -> dict:
+def entry(
+    checkout: Path, workload: str, runs: list[dict], traced: dict, index: float, note: str, seconds: float
+) -> dict:
     names = list(runs[0]["metrics"])
     metrics = {
         name: {"unit": runs[0]["metrics"][name]["unit"], **quartiles([r["metrics"][name]["value"] for r in runs])}
@@ -114,6 +120,7 @@ def entry(checkout: Path, workload: str, runs: list[dict], index: float, note: s
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "metrics": metrics,
+        "traced": {name: m["value"] for name, m in traced["metrics"].items()},
         "speed_index_s": index,
         "per_index": {name: m["median"] / index for name, m in metrics.items() if m["unit"] == "s"},
         "machine": note,
@@ -142,9 +149,10 @@ def main(argv=None) -> int:
                 runs[c].append(run)
                 wall = run["metrics"]["wall_s"]["value"]
                 print(f"  {c.name} seed {k + 1}: wall_s {wall:.3f} correct {run['correct']}", flush=True)
+        traced = {c: perfbench(c, workload, 1, seconds, trace=1) for c in checkouts}
         path = ROOT / f"BENCH_{workload}.json"
         entries = json.loads(path.read_text()) if path.exists() else []
-        entries += [entry(c, workload, runs[c], index, note, seconds) for c in checkouts]
+        entries += [entry(c, workload, runs[c], traced[c], index, note, seconds) for c in checkouts]
         path.write_text(json.dumps(entries, indent=1) + "\n")
     return 0
 

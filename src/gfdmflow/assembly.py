@@ -8,8 +8,9 @@ nodes, virtual nodes included.  Every node contributes exactly two rows:
 * Dirichlet nodes: ``u - eta`` for both variables,
 
 for ``2 (n1 + n2 + n3 + n3)`` equations in total.  The virtual and Dirichlet
-rows are constant: each is one affine row of a single table (see
-:class:`AffineRow`), which gives both its residual and its Jacobian entries.
+rows are constant: each is one affine row of a single table of arrays (see
+:class:`PairFluxSystem`), which gives both its residual and its Jacobian
+entries; the systems build that table in array passes, not row by row.
 The flow rows' Jacobian is exact.  The relative permeabilities are
 evaluated once per node on dual numbers seeded in Sw, and each pair takes
 them at its upwind node, chosen from the current iterate's pressures; the
@@ -27,7 +28,7 @@ of index arrays, which the linear solver recognises as a known pattern.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,33 +51,27 @@ def robin_triples(bc: SegmentBC):
     return bc.p_robin, bc.sw_robin
 
 
-class AffineRow(NamedTuple):
-    """One constant (non-flow) row, kept in difference form:
-    ``a*u_ref + sum_k coefs[k] * (u_cols[k] - u_ref) - g``.
-
-    A value row ``u - g`` is ``AffineRow(row, 1.0, row, g)``, with no terms.
-    """
-
-    row: int
-    a: float
-    ref: int
-    g: float
-    cols: Sequence[int] = ()
-    coefs: Sequence[float] = ()
-
-
 class PairFluxSystem:
     """Shared two-phase evaluator over an abstract node-pair table.
 
     ``flow_ids`` are the nodes with flow equations; the flux of each directed
     pair ``pair_i -> pair_j`` is scaled by ``geometric_coef`` times the
-    transmissibility.  Every other row is one :class:`AffineRow` of
-    ``const_rows``, which gives both its residual and its Jacobian entries
-    (``coefs[k]`` at ``u_cols[k]``, ``a - sum(coefs)`` at ``u_ref``).  How
-    the pairs and the rows were obtained is up to the subclass.
+    transmissibility.  Every other row is constant, one entry ``k`` of a
+    table of arrays kept in difference form: row ``row[k]`` reads
+
+        a[k] * u[ref[k]] + sum_t coef[t] * (u[col[t]] - u[ref[k]]) - g[k]
+
+    over its ``n_terms[k]`` terms, which follow those of row ``k - 1`` in
+    ``term_col`` and ``term_coef``.  A value row ``u - g`` has ``ref == row``,
+    ``a == 1`` and no terms.  Its Jacobian entries are ``coef[t]`` at
+    ``u[col[t]]`` and ``a - sum(coef)`` at ``u[ref]``.  How the pairs and the
+    rows were obtained is up to the subclass.
     """
 
-    def __init__(self, model: ReservoirModel, n_nodes: int, flow_ids, pair_i, pair_j, geometric_coef, const_rows):
+    def __init__(
+        self, model: ReservoirModel, n_nodes: int, flow_ids, pair_i, pair_j, geometric_coef,
+        row, ref, a, g, n_terms=0, term_col=(), term_coef=(),
+    ):
         if len(model.permeability) != n_nodes:
             raise SetupError("model arrays must cover every node")
         self.model = model
@@ -88,25 +83,30 @@ class PairFluxSystem:
         k_h, self.pair_mu_o, self.pair_mu_w = pair_transmissibility_parts(self.pair_i, self.pair_j, model)
         self.pair_coef = UNIT_ALPHA * k_h * np.asarray(geometric_coef, dtype=float)
 
-        self.row = np.array([r.row for r in const_rows], dtype=np.int64)
-        self.row_ref = np.array([r.ref for r in const_rows], dtype=np.int64)
-        self.row_a = np.array([r.a for r in const_rows], dtype=float)
-        self.row_g = np.array([r.g for r in const_rows], dtype=float)
-        # value rows skip np.sum, whose call overhead added ~20% to the FDM strip's build
-        self.ref_coef = np.array([r.a - np.sum(r.coefs) if len(r.coefs) else r.a for r in const_rows], dtype=float)
-        n_terms = np.array([len(r.cols) for r in const_rows], dtype=np.int64)
+        self.row = np.asarray(row, dtype=np.int64)
+        self.row_ref = np.asarray(ref, dtype=np.int64)
+        self.row_a = np.asarray(a, dtype=float)
+        self.row_g = np.asarray(g, dtype=float)
+        n_terms = np.broadcast_to(np.asarray(n_terms, dtype=np.int64), self.row.shape)
         self.term_row = np.repeat(self.row, n_terms)
         self.term_ref = np.repeat(self.row_ref, n_terms)
-        self.term_col = np.array([c for r in const_rows for c in r.cols], dtype=np.int64)
-        self.term_coef = np.array([c for r in const_rows for c in r.coefs], dtype=float)
+        self.term_col = np.asarray(term_col, dtype=np.int64)
+        self.term_coef = np.asarray(term_coef, dtype=float)
+        # a - sum(coef) per row: np.sum along rows of one length adds each
+        # row's terms in the pairwise order of a one-row np.sum
+        self.ref_coef = self.row_a.copy()
+        first = np.cumsum(n_terms) - n_terms
+        for size in np.unique(n_terms[n_terms > 0]):
+            rows = np.flatnonzero(n_terms == size)
+            self.ref_coef[rows] -= np.sum(self.term_coef[first[rows, None] + np.arange(size)], axis=1)
         self._csc = None  # compiled by the first residual_and_jacobian
 
     def _pattern(self, dtype=np.int64):
         """Row and column of every Jacobian contribution, in the order
         :meth:`_evaluate` lays out their values; repeated positions add up."""
         pi, pj, f = (ids.astype(dtype, copy=False) for ids in (self.pair_i, self.pair_j, self.flow_ids))
-        pair_rows = np.column_stack([2 * pi] * 4 + [2 * pi + 1] * 4).ravel()
-        pair_cols = np.column_stack([2 * pi, 2 * pj, 2 * pi + 1, 2 * pj + 1] * 2).ravel()
+        pair_rows = np.concatenate([2 * pi] * 4 + [2 * pi + 1] * 4)
+        pair_cols = np.concatenate([2 * pi, 2 * pj, 2 * pi + 1, 2 * pj + 1] * 2)
         acc_rows = np.column_stack([2 * f, 2 * f, 2 * f + 1, 2 * f + 1]).ravel()
         acc_cols = np.column_stack([2 * f, 2 * f + 1, 2 * f, 2 * f + 1]).ravel()
         rows = np.concatenate([pair_rows, acc_rows, self.term_row, self.row], dtype=dtype)
@@ -121,6 +121,7 @@ class PairFluxSystem:
         ``n**2`` fits, which keeps this one-time pass light on memory.  The
         index arrays are int32 whenever ``n + 1`` and ``nnz`` fit: scipy
         would copy int64 ones into every Jacobian, so none would share them.
+        ``slot`` is ``np.intp``, which ``np.bincount`` takes without a copy.
         """
         n = self.n_unknowns
         dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
@@ -132,9 +133,11 @@ class PairFluxSystem:
         first = np.empty(len(keys), dtype=bool)
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        slot = np.empty(len(keys), dtype=dtype)
-        slot[order] = np.cumsum(first, dtype=dtype) - 1
-        del order
+        rank = np.cumsum(first, dtype=np.intp)
+        rank -= 1
+        slot = np.empty_like(rank)
+        slot[order] = rank
+        del order, rank
         keys = keys[first]
         index_dtype = np.int32 if max(n + 1, len(keys)) <= np.iinfo(np.int32).max else dtype
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(index_dtype)
@@ -144,8 +147,8 @@ class PairFluxSystem:
 
     def _pair_fluxes(self, p, sw, tan=None):
         """Oil and water flux of every pair; given ``tan``, a zeroed
-        ``(m, 8)`` array, also writes their Jacobian entries into it in
-        :meth:`_pattern` order.
+        ``(8, m)`` array, also writes their Jacobian entries into it in
+        :meth:`_pattern` order, one contiguous row per entry of a pair.
 
         The relative permeabilities are evaluated once per node, on duals
         seeded in Sw; each pair takes them at its upwind node.  Given the
@@ -157,16 +160,20 @@ class PairFluxSystem:
         dp = p[pj] - p[pi]
         up = upwind_nodes(dp, pi, pj)
         with_jac = tan is not None
-        sw = dual.seed(sw, 0, 1) if with_jac else sw
+        if with_jac:
+            sw = dual.seed(sw, 0, 1)
+            at_j = up == pj
         fluxes = []
         for k, (kr, mu) in enumerate(((kro(sw, self.model), self.pair_mu_o), (krw(sw, self.model), self.pair_mu_w))):
             lam = dual.value(kr)[up] / mu
             fluxes.append(lam * dp * self.pair_coef)
             if with_jac:
                 lam_c = lam * self.pair_coef
-                tan[:, 4 * k] = -lam_c
-                tan[:, 4 * k + 1] = lam_c
-                tan[np.arange(len(pi)), 4 * k + 2 + (up == pj)] = kr.tan[up, 0] / mu * dp * self.pair_coef
+                tan[4 * k] = -lam_c
+                tan[4 * k + 1] = lam_c
+                d_sw = kr.tan[up, 0] / mu * dp * self.pair_coef
+                np.copyto(tan[4 * k + 2], d_sw, where=~at_j)
+                np.copyto(tan[4 * k + 3], d_sw, where=at_j)
         return fluxes
 
     def _accumulations(self, p, sw, p_old, sw_old, dt, with_jac: bool):
@@ -191,7 +198,7 @@ class PairFluxSystem:
             # bulk of it, are written in place and never copied
             m, n_acc = 8 * len(self.pair_i), 4 * len(self.flow_ids)
             data = np.zeros(m + n_acc + len(self.term_coef) + len(self.ref_coef))
-            tan = data[:m].reshape(-1, 8)
+            tan = data[:m].reshape(8, -1)
         f_o, f_w = self._pair_fluxes(p, sw, tan)
         acc_o, acc_w = self._accumulations(p, sw, p_old, sw_old, dt, with_jac)
 
@@ -216,7 +223,9 @@ class PairFluxSystem:
         """CSC matrix of the contributions ``data``, laid out as :meth:`_pattern`."""
         indptr, indices, slot = self._csc
         data = np.bincount(slot, weights=data, minlength=len(indices))
-        return sp.csc_matrix((data, indices, indptr), shape=(self.n_unknowns, self.n_unknowns))
+        jac = sp.csc_matrix((data, indices, indptr), shape=(self.n_unknowns, self.n_unknowns))
+        jac.has_canonical_format = True  # the layout's rows are sorted and unique per column
+        return jac
 
     def residual(self, x: np.ndarray, x_old: np.ndarray, dt: float) -> np.ndarray:
         r, _ = self._evaluate(x, x_old, dt, with_jac=False)
@@ -264,27 +273,46 @@ class ImplicitSystem(PairFluxSystem):
         pair_i = np.repeat(ops.nodes, np.diff(ops.indptr))
         laplacian = ops.coef[2] + ops.coef[3]
 
-        const_rows = []
-        for c in dirichlet_ids:
-            bc = self.specs.get(int(c))
+        held = []  # (p, Sw) of each Dirichlet node
+        for c in dirichlet_ids.tolist():
+            bc = self.specs.get(c)
             if bc is None or bc.kind != "dirichlet":
-                raise SetupError(f"dirichlet node {int(c)} needs Dirichlet values for p and Sw")
-            const_rows += [AffineRow(2 * c + k, 1.0, 2 * c + k, g) for k, g in enumerate((bc.p_value, bc.sw_value))]
+                raise SetupError(f"dirichlet node {c} needs Dirichlet values for p and Sw")
+            held.append((bc.p_value, bc.sw_value))
 
-        for b in virtual_ids:
-            a_host = int(cloud.hosts[b])
+        # virtual node b holds its host's condition for p and Sw in two rows
+        hosts = cloud.hosts[virtual_ids]
+        n = len(cloud)
+        entry_keys, wanted = pair_i * n + ops.neighbors, hosts * n + virtual_ids
+        inside = np.searchsorted(entry_keys, wanted, "right") > np.searchsorted(entry_keys, wanted)
+        triples = []  # (a, b, g) of each virtual node, for p and for Sw
+        for b, a_host, ok in zip(virtual_ids.tolist(), hosts.tolist(), inside.tolist()):
             bc = self.specs.get(a_host)
             if bc is None or bc.kind != "robin":
                 raise SetupError(f"robin node {a_host} needs Robin triples for p and Sw")
-            stencil, rows = ops.stencils[a_host], ops.rows[a_host]
-            if int(b) not in set(int(x) for x in stencil.neighbors):
+            if not ok:
                 raise SetupError(
-                    f"virtual node {int(b)} is outside the stencil of host {a_host}; "
-                    "influence radius too small"
+                    f"virtual node {b} is outside the stencil of host {a_host}; influence radius too small"
                 )
-            normal = cloud.normals[a_host]
-            cdir = normal[0] * rows[0] + normal[1] * rows[1]
-            for k, (a, coef, g) in enumerate(robin_triples(bc)):
-                const_rows.append(AffineRow(2 * b + k, a, 2 * a_host + k, g, 2 * stencil.neighbors + k, coef * cdir))
+            triples.append(robin_triples(bc))
+        triples = np.array(triples, dtype=float).reshape(-1, 3)
+        # each virtual row's terms are its host's stencil entries, in order
+        row_host, row_k = np.repeat(hosts, 2), np.tile([0, 1], len(hosts))
+        v_row, v_ref = 2 * np.repeat(virtual_ids, 2) + row_k, 2 * row_host + row_k
+        k_host = np.searchsorted(ops.nodes, row_host)
+        n_terms = np.diff(ops.indptr)[k_host]
+        entry = np.repeat(ops.indptr[k_host] - (np.cumsum(n_terms) - n_terms), n_terms) + np.arange(n_terms.sum())
+        normal = np.repeat(cloud.normals[row_host], n_terms, axis=0)
+        cdir = normal[:, 0] * ops.coef[0, entry] + normal[:, 1] * ops.coef[1, entry]
 
-        super().__init__(model, len(cloud), flow_ids, pair_i, ops.neighbors, laplacian, const_rows)
+        d_row = (2 * dirichlet_ids[:, None] + np.arange(2)).ravel()
+        super().__init__(
+            model, len(cloud), flow_ids, pair_i, ops.neighbors, laplacian,
+            row=np.concatenate([d_row, v_row]),
+            ref=np.concatenate([d_row, v_ref]),
+            a=np.concatenate([np.ones(len(d_row)), triples[:, 0]]),
+            g=np.concatenate([np.array(held, dtype=float).ravel(), triples[:, 2]]),
+            n_terms=np.concatenate([np.zeros(len(d_row), dtype=np.int64), n_terms]),
+            term_col=2 * ops.neighbors[entry] + np.repeat(row_k, n_terms),
+            term_coef=np.repeat(triples[:, 1], n_terms) * cdir,
+        )

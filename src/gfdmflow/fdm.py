@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import AffineRow, PairFluxSystem, robin_triples
+from .assembly import PairFluxSystem, robin_triples
 from .cloud import CORNER_ORDER, SIDES, lattice_sides
 from .config import SegmentBC
 from .errors import SetupError
@@ -97,13 +97,13 @@ class FdmSystem(PairFluxSystem):
             pj.append(grid.index(jx[ok], jy[ok]))
             coef.append(np.full(int(ok.sum()), c))
 
-        const_rows = [
-            AffineRow(2 * i + k, 1.0, 2 * i + k, g)
-            for i in np.flatnonzero(held >= 0)
-            for k, g in enumerate(values[held[i]])
-        ]
+        # a value row u - g for p and for Sw of every held node
+        held_ids = np.flatnonzero(held >= 0)
+        row = (2 * held_ids[:, None] + np.arange(2)).ravel()
+        g = np.array(values, dtype=float).reshape(-1, 2)[held[held_ids]].ravel()
         super().__init__(
-            model, grid.n_nodes, flow_ids, np.concatenate(pi), np.concatenate(pj), np.concatenate(coef), const_rows
+            model, grid.n_nodes, flow_ids, np.concatenate(pi), np.concatenate(pj), np.concatenate(coef),
+            row=row, ref=row, a=np.ones(len(row)), g=g,
         )
 
 

@@ -17,7 +17,6 @@ unsquared weights.
 from __future__ import annotations
 
 import csv
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -132,6 +131,25 @@ class DiffOperators:
         return node in self.rows
 
 
+def _neighbor_table(cloud: NodeCloud, centers: np.ndarray, r_e: float):
+    """``(indptr, neighbors)``: the nodes within ``r_e`` of ``centers[k]``,
+    but the center, are ``neighbors[indptr[k]:indptr[k + 1]]``, id-ordered.
+
+    One pair query over the cloud's tree finds every pair within ``r_e``,
+    with the same distance test as a ball query per center; the pairs that
+    start at a center, in both directions, sort by center, then by id.
+    """
+    n = len(cloud)
+    pairs = cloud._tree.query_pairs(r_e, output_type="ndarray")
+    row = np.full(n, -1, dtype=np.int64)
+    row[centers] = np.arange(len(centers))
+    # key row * n + neighbor; a pair whose first node is no center has a negative key
+    keys = np.concatenate([row[pairs[:, 0]] * n + pairs[:, 1], row[pairs[:, 1]] * n + pairs[:, 0]])
+    keys = np.sort(keys[keys >= 0])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=len(centers)))])
+    return indptr, keys % n
+
+
 def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: str) -> DiffOperators:
     """The operator table of ``centers`` (sorted ids), in one batched pass.
 
@@ -140,19 +158,18 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
     spacing and to near-cutoff weights that merely scale a column (a weight
     of 1e-17 on the only xy-resolving neighbors is harmless scaling, not
     rank deficiency; true collinearity survives equilibration and is
-    rejected).  Stencils of one size share one stacked product and solve.
+    rejected).  The equilibrated matrix is symmetric positive semidefinite,
+    so its rcond is read off its eigenvalues, which are its singular values.
+    The stencils come from one pair query (:func:`_neighbor_table`), and
+    stencils of one size share one stacked product, eigenvalue pass and
+    solve.
     """
     if degenerate not in ("raise", "inverse"):
         raise ValueError("degenerate must be 'raise' or 'inverse'")
     if r_e <= 0:
         raise ValueError("influence radius must be positive")
-    # every node within r_e, id-ordered; the center is its own member
-    hits = cloud._tree.query_ball_point(cloud.positions[centers], r_e, return_sorted=True)
-    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(centers))
-    members = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=int(counts.sum()))
-    neighbors = members[members != np.repeat(centers, counts)]
-    sizes = counts - 1
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indptr, neighbors = _neighbor_table(cloud, centers, r_e)
+    sizes = np.diff(indptr)
     offsets = cloud.positions[neighbors] - cloud.positions[np.repeat(centers, sizes)]
 
     L = _taylor_matrix(offsets / r_e)
@@ -170,8 +187,9 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
         eq = np.flatnonzero((d > 0).all(axis=1))
         s = 1.0 / np.sqrt(d[eq])[:, :, None]
         A_eq = A[eq] * (s * s.transpose(0, 2, 1))
-        sv = np.linalg.svd(A_eq, compute_uv=False)
-        rcond[group[eq]] = sv[:, -1] / sv[:, 0]
+        # an eigenvalue a round-off below zero counts as zero
+        ev = np.linalg.eigvalsh(A_eq)
+        rcond[group[eq]] = np.maximum(ev[:, 0], 0.0) / ev[:, -1]
         ok = rcond[group[eq]] >= RCOND_DEGENERATE
         E = s[ok] * np.linalg.solve(A_eq[ok], s[ok] * WL_g[eq[ok]].transpose(0, 2, 1))
         # derivatives w.r.t. scaled coordinates back to physical units

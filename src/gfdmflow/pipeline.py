@@ -134,7 +134,8 @@ def run_fdm_scenario(
 
     ``strip_ny`` runs the grid on a reduced-height strip (same spacings);
     legitimate for configurations whose solution is independent of y, where
-    the full-height and strip solutions coincide row-by-row.
+    the full-height and strip solutions coincide row-by-row.  ``dx`` must
+    divide the width, and ``dy`` the height unless ``strip_ny`` is given.
     """
     if config.domain_shape != "rectangle":
         raise SetupError("reference FDM needs a rectangular domain")
@@ -143,6 +144,8 @@ def run_fdm_scenario(
     dy = config.dy if dy is None else dy
     if abs(config.width / dx - round(config.width / dx)) > 1e-9:
         raise SetupError("FDM spacing must divide the domain width")
+    if strip_ny is None and abs(config.height / dy - round(config.height / dy)) > 1e-9:
+        raise SetupError("FDM spacing must divide the domain height")
     nx = int(round(config.width / dx)) + 1
     ny = int(round(config.height / dy)) + 1 if strip_ny is None else int(strip_ny)
     grid = FdmGrid(nx=nx, ny=ny, dx=dx, dy=dy)

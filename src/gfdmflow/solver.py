@@ -346,14 +346,18 @@ def direct_solve(jac, rhs):
     return delta
 
 
-def newton_step(problem, x_k: np.ndarray, x_old: np.ndarray, dt: float, linear_solver=direct_solve):
+def newton_step(
+    problem, x_k: np.ndarray, x_old: np.ndarray, dt: float, linear_solver=direct_solve, evaluated=None
+):
     """One full Newton update; returns the new iterate and its residual norm.
 
-    ``linear_solver(jac, rhs)`` may be swapped for an iterative alternative
-    without any other API change; it must raise :class:`LinearSolveError`
-    on failure.
+    ``evaluated`` is the ``(residual, jacobian)`` pair of
+    ``problem.residual_and_jacobian`` at ``x_k``, if the caller has it
+    already; otherwise the step evaluates it.  ``linear_solver(jac, rhs)``
+    may be swapped for an iterative alternative without any other API
+    change; it must raise :class:`LinearSolveError` on failure.
     """
-    residual, jac = problem.residual_and_jacobian(x_k, x_old, dt)
+    residual, jac = problem.residual_and_jacobian(x_k, x_old, dt) if evaluated is None else evaluated
     delta = linear_solver(jac, -residual)
     x_next = x_k + delta
     norm = float(np.linalg.norm(problem.residual(x_next, x_old, dt), ord=np.inf))
@@ -371,8 +375,12 @@ def advance(
     ``x_old`` at the same ``dt``; it counts as a restart (``restarts`` is 1),
     not as a cut.  Every later attempt cuts ``dt`` and starts from ``x_old``.
     Convergence at exactly ``max_newton`` iterations counts as success.
-    After ``max_cuts`` consecutive cuts a :class:`TimeStepCollapseError` is
-    raised with diagnostics.
+    An attempt's start norm is that of the residual that comes with its
+    first Jacobian, which its first Newton update then uses (the assembly
+    returns the same residual bits on both evaluation paths), so an attempt
+    that starts converged builds one unused Jacobian.  After ``max_cuts``
+    consecutive cuts a :class:`TimeStepCollapseError` is raised with
+    diagnostics.
     """
     if not (0 < dt <= tc.dt_max):
         raise ValueError("dt must lie in (0, dt_max]")
@@ -381,10 +389,12 @@ def advance(
     while True:
         x = (x_old if x_start is None else x_start).copy()
         iters = 0
-        norm = float(np.linalg.norm(problem.residual(x, x_old, dt), ord=np.inf))
+        evaluated = problem.residual_and_jacobian(x, x_old, dt)
+        norm = float(np.linalg.norm(evaluated[0], ord=np.inf))
         try:
             while norm > tc.newton_tol and iters < tc.max_newton:
-                x, norm = newton_step(problem, x, x_old, dt, linear_solver)
+                x, norm = newton_step(problem, x, x_old, dt, linear_solver, evaluated)
+                evaluated = None
                 iters += 1
         except LinearSolveError:
             pass  # norm keeps its last value, which is above the tolerance

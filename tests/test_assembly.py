@@ -112,6 +112,96 @@ class TestRowStructure:
             specs[int(i)] = SegmentBC.noflow()
         with pytest.raises(SetupError, match="radius too small|outside the stencil"):
             ImplicitSystem(cloud, ops, model, specs)
+        # a host without its robin spec is named before the radius
+        first_host = int(cloud.hosts[cloud.ids_of_kind(NodeKind.VIRTUAL)[0]])
+        del specs[first_host]
+        with pytest.raises(SetupError, match=f"robin node {first_host} needs Robin triples"):
+            ImplicitSystem(cloud, ops, model, specs)
+
+
+def _row_by_row(cloud, ops, specs):
+    """The constant-row arrays built one row at a time: each Dirichlet node's
+    value rows, then each virtual node's two rows over its host's stencil,
+    with ``a - sum(coefs)`` from a one-row ``np.sum``."""
+    rows = []  # (row, a, ref, g, cols, coefs)
+    for c in map(int, cloud.ids_of_kind(NodeKind.DIRICHLET)):
+        bc = specs[c]
+        rows += [(2 * c + k, 1.0, 2 * c + k, g, [], []) for k, g in enumerate((bc.p_value, bc.sw_value))]
+    for b in map(int, cloud.ids_of_kind(NodeKind.VIRTUAL)):
+        host = int(cloud.hosts[b])
+        stencil, coef = ops.stencils[host], ops.rows[host]
+        normal = cloud.normals[host]
+        cdir = normal[0] * coef[0] + normal[1] * coef[1]
+        for k, (a, c, g) in enumerate((specs[host].p_robin, specs[host].sw_robin)):
+            rows.append((2 * b + k, a, 2 * host + k, g, 2 * stencil.neighbors + k, c * cdir))
+    return _row_arrays(rows)
+
+
+def _row_arrays(rows):
+    n_terms = [len(cols) for *_, cols, _ in rows]
+    return {
+        "row": np.array([r[0] for r in rows], dtype=np.int64),
+        "row_ref": np.array([r[2] for r in rows], dtype=np.int64),
+        "row_a": np.array([r[1] for r in rows], dtype=float),
+        "row_g": np.array([r[3] for r in rows], dtype=float),
+        "ref_coef": np.array([r[1] - np.sum(r[5]) if len(r[5]) else r[1] for r in rows], dtype=float),
+        "term_row": np.repeat(np.array([r[0] for r in rows], dtype=np.int64), n_terms),
+        "term_ref": np.repeat(np.array([r[2] for r in rows], dtype=np.int64), n_terms),
+        "term_col": np.array([c for r in rows for c in r[4]], dtype=np.int64),
+        "term_coef": np.array([c for r in rows for c in r[5]], dtype=float),
+    }
+
+
+def _assert_rows_equal(system, want):
+    for name, array in want.items():
+        got = getattr(system, name)
+        assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+
+
+def _robin_specs(cloud):
+    """Dirichlet values and distinct, nonzero robin triples per boundary node."""
+    specs = {}
+    for i in map(int, cloud.ids_of_kind(NodeKind.DIRICHLET)):
+        specs[i] = SegmentBC.dirichlet(10.0 + 0.1 * i, 0.2 + 1e-3 * i)
+    for i in map(int, cloud.ids_of_kind(NodeKind.ROBIN)):
+        specs[i] = SegmentBC("robin", p_robin=(0.1 * i, 1.0 + i, 3.0), sw_robin=(0.5, 1.0 / (1 + i), 0.1 * i))
+    return specs
+
+
+class TestConstantRows:
+    """The constant rows from array passes against the row-at-a-time
+    construction, byte for byte."""
+
+    @pytest.mark.parametrize("mult", [1.001, 2.001])
+    def test_cartesian_virtual_rows(self, mult):
+        cloud, ops, model, _ = waterflood_setup(mult=mult)
+        specs = _robin_specs(cloud)
+        _assert_rows_equal(ImplicitSystem(cloud, ops, model, specs), _row_by_row(cloud, ops, specs))
+
+    def test_polygon_mixed_stencil_sizes(self):
+        config = load_config(CONFIGS / "waterflood_polygon.cfg")
+        cloud = build_cloud(config)
+        ops = build_operators(cloud, config.influence_radius())
+        specs = _robin_specs(cloud)
+        assert cloud.n_virtual > 0 and len(set(np.diff(ops.indptr))) > 5
+        system = ImplicitSystem(cloud, ops, build_model(config, len(cloud)), specs)
+        _assert_rows_equal(system, _row_by_row(cloud, ops, specs))
+
+    def test_all_dirichlet(self):
+        cloud = generate_cartesian_cloud(2, 1, 1, 1, {s: "dirichlet" for s in SIDES})
+        specs = _robin_specs(cloud)
+        ops = build_operators(cloud, 2.0)
+        system = ImplicitSystem(cloud, ops, ReservoirModel.uniform(len(cloud)), specs)
+        _assert_rows_equal(system, _row_by_row(cloud, ops, specs))
+
+    def test_fdm_held_sides(self):
+        grid = FdmGrid(nx=6, ny=4, dx=4.0, dy=4.0)
+        sides = {**FDM_SIDES, "left": SegmentBC.dirichlet(20.0, 0.8), "right": SegmentBC.dirichlet(5.0, 0.3)}
+        system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), sides)
+        ix, iy = np.divmod(np.arange(grid.n_nodes), grid.ny)
+        held = [(i, sides["left" if x == 0 else "right"]) for i, x in enumerate(ix.tolist()) if x in (0, grid.nx - 1)]
+        rows = [(2 * i + k, 1.0, 2 * i + k, g, [], []) for i, bc in held for k, g in enumerate((bc.p_value, bc.sw_value))]
+        _assert_rows_equal(system, _row_arrays(rows))
 
 
 class TestResidualValues:

@@ -128,6 +128,17 @@ class TestScenarioSetupErrors:
         with pytest.raises(SetupError, match="must divide the domain width"):
             run_fdm_scenario(config, dx=3.0)
 
+    @pytest.mark.parametrize("strip_ny", [None, 3], ids=["full-height", "strip"])
+    def test_fdm_dy_must_divide_full_height(self, strip_ny):
+        # 3 m does not divide the 80 m height; a strip keeps any height
+        config = load_config(CONFIGS / "waterflood_4m.cfg").with_overrides(t_end=0.1, output_times=(0.1,))
+        if strip_ny is None:
+            with pytest.raises(SetupError, match="must divide the domain height"):
+                run_fdm_scenario(config, dy=3.0)
+        else:
+            grid, states, _ = run_fdm_scenario(config, dy=3.0, strip_ny=strip_ny)
+            assert (grid.ny, grid.dy) == (strip_ny, 3.0) and max(states) == 0.1
+
     def test_csv_node_off_every_edge(self):
         # the fixture's boundary row runs from x = -2, left of the rectangle
         path = CONFIGS / "fixtures" / "layout_single_virtual_row.csv"

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfdmflow import (
     DegenerateStencilError,
@@ -9,11 +11,12 @@ from gfdmflow import (
     StencilUnderdeterminedError,
     build_operators,
     generate_cartesian_cloud,
+    generate_irregular_cloud,
     load_config,
     stencil_quality,
     weight,
 )
-from gfdmflow.operators import build_node_rows, write_operator_csv
+from gfdmflow.operators import RCOND_DEGENERATE, _neighbor_table, _taylor_matrix, build_node_rows, write_operator_csv
 from gfdmflow.pipeline import build_cloud
 
 import golden
@@ -270,3 +273,92 @@ def test_table_matches_brute_force_oracle():
         assert np.array_equal(ops.stencils[i].neighbors, neighbors)
         scale = np.abs(rows).max(axis=1, keepdims=True)
         assert np.all(np.abs(ops.rows[i] - rows) <= 1e-10 * scale)
+
+
+def _ball_point_table(cloud, centers, r_e):
+    """``(indptr, neighbors)`` of ``centers`` from one ``query_ball_point``
+    list per center: every node within ``r_e`` but the center, id-ordered."""
+    hits = cloud._tree.query_ball_point(cloud.positions[centers], r_e, return_sorted=True)
+    rows = [[j for j in hit if j != c] for c, hit in zip(centers.tolist(), hits)]
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    return indptr, np.array([j for row in rows for j in row], dtype=np.int64)
+
+
+def _assert_same_table(got, want):
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# the shipped configurations, and the benchmark's polygon at 2 m with the
+# lattice radius 4.0 = 2h and its 4 m flood at radius multiple 2.001
+SHIPPED = [(name, {}) for name in ("waterflood_4m.cfg", "waterflood_polygon.cfg", "diagnose_layouts.cfg")] + [
+    ("waterflood_polygon.cfg", {"spacing": 2.0, "radius_absolute": 4.0}),
+    ("waterflood_4m.cfg", {"radius_multiple": 2.001}),
+]
+
+
+class TestNeighborTable:
+    """The table's pair search against one ball query per center."""
+
+    @pytest.mark.parametrize("name, overrides", SHIPPED)
+    def test_shipped_configs(self, name, overrides):
+        config = load_config(CONFIGS / name).with_overrides(**overrides)
+        cloud, r_e = build_cloud(config), config.influence_radius()
+        ops = build_operators(cloud, r_e)
+        _assert_same_table((ops.indptr, ops.neighbors), _ball_point_table(cloud, ops.nodes, r_e))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.sampled_from([8.0, 12.0, 20.0]),
+        spacing=st.sampled_from([1.0, 2.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.sampled_from([0.0, 0.1, 0.3]),
+        multiple=st.sampled_from([1.0, 1.5, 2.0, 2.001, 5**0.5, 3.0]),
+        every=st.sampled_from([1, 2, 7]),
+    )
+    def test_irregular_clouds(self, width, spacing, seed, jitter, multiple, every):
+        # multiples 1, 2 and sqrt(5) are lattice distances of the unjittered cloud
+        poly = ((0.0, 0.0), (width, 0.0), (width, 8.0), (0.0, 8.0))
+        cloud = generate_irregular_cloud(poly, spacing, seed, jitter=jitter)
+        centers, r_e = np.arange(0, len(cloud), every), multiple * spacing
+        _assert_same_table(_neighbor_table(cloud, centers, r_e), _ball_point_table(cloud, centers, r_e))
+
+
+def _svd_rcond(offsets, r_e):
+    """rcond of one stencil's equilibrated normal matrix from its singular values."""
+    L = _taylor_matrix(offsets / r_e)
+    w2 = weight(np.hypot(offsets[:, 0], offsets[:, 1]), r_e) ** 2
+    A = L.T @ (L * w2[:, None])
+    d = np.diag(A)
+    if not np.all(d > 0):
+        return 0.0
+    s = 1.0 / np.sqrt(d)
+    sv = np.linalg.svd(A * np.outer(s, s), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+class TestRcond:
+    """rcond from the eigenvalues of the symmetric equilibrated normal
+    matrix against its singular values."""
+
+    @pytest.mark.parametrize("r_e", [1.5, 1.6, 2.0, 2.5, 3.0])
+    def test_layout_verdicts(self, r_e):
+        cloud = build_cloud(load_config(CONFIGS / "diagnose_layouts.cfg"))
+        indptr, neighbors = _neighbor_table(cloud, np.arange(len(cloud)), r_e)
+        for node in range(len(cloud)):
+            offsets = cloud.positions[neighbors[indptr[node] : indptr[node + 1]]] - cloud.positions[node]
+            if len(offsets) < 5:
+                continue
+            want = _svd_rcond(offsets, r_e)
+            if want < RCOND_DEGENERATE:
+                with pytest.raises(DegenerateStencilError, match=f"at node {node}: rcond="):
+                    build_node_rows(cloud, node, r_e)
+            else:
+                stencil, _ = build_node_rows(cloud, node, r_e)
+                assert abs(stencil.rcond - want) <= 1e-12 * want
+
+    def test_polygon_table(self):
+        config = load_config(CONFIGS / "waterflood_polygon.cfg")
+        ops = build_operators(build_cloud(config), config.influence_radius())
+        offsets = np.split(ops.offsets, ops.indptr[1:-1])
+        want = np.array([_svd_rcond(off, ops.radius) for off in offsets])
+        assert np.all(np.abs(ops.rcond - want) <= 1e-12 * want)

@@ -91,22 +91,26 @@ class CappedRampProblem:
 
 
 class StartRecorder:
-    """Wraps a problem and records the point of each step's first residual
-    call, that is, where its Newton iteration starts."""
+    """Wraps a problem and records the point of each step's first
+    evaluation, of either kind, that is, where its Newton iteration starts."""
 
     def __init__(self, problem):
         self.problem = problem
         self.starts = []  # (x, x_old, dt) per step
         self._step = None
 
-    def residual(self, x, x_old, dt):
+    def _record(self, x, x_old, dt):
         step = (x_old.tobytes(), dt)
         if step != self._step:
             self.starts.append((x.copy(), x_old.copy(), dt))
             self._step = step
+
+    def residual(self, x, x_old, dt):
+        self._record(x, x_old, dt)
         return self.problem.residual(x, x_old, dt)
 
     def residual_and_jacobian(self, x, x_old, dt):
+        self._record(x, x_old, dt)
         return self.problem.residual_and_jacobian(x, x_old, dt)
 
 class TestJacobian:
