@@ -442,21 +442,32 @@ class TestCompiledCsc:
         assert np.array_equal(jac.indices, want.indices)
         return jac, want, coo
 
+    @staticmethod
+    def reordering_bound(coo):
+        """Per CSC entry of ``coo``, the error of summing its k terms in
+        another order, (k - 1) eps sum|terms|."""
+        abs_sum = sp.coo_matrix((np.abs(coo.data), (coo.row, coo.col)), shape=coo.shape).tocsc().data
+        terms = sp.coo_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape).tocsc().data
+        return (terms - 1) * np.finfo(float).eps * abs_sum
+
     @pytest.mark.parametrize("mult", [1.001, None], ids=["meshless", "fdm"])
     def test_scatter_matches_scipy_within_one_ulp(self, mult):
-        jac, want, _ = self.scatter_and_scipy(mult)
-        ulp = np.spacing(np.maximum(np.abs(jac.data), np.abs(want.data)))
-        assert np.all(np.abs(jac.data - want.data) <= ulp)
+        # SciPy sorts a column of at most 16 COO entries by insertion sort,
+        # which is stable, so it adds repeated entries in COO order, as the
+        # scatter does: equal bits.  A longer column is sorted by introsort,
+        # which is not stable, so there only the reordering bound holds.
+        jac, want, coo = self.scatter_and_scipy(mult)
+        short = np.repeat(np.bincount(coo.col, minlength=coo.shape[1]) <= 16, np.diff(jac.indptr))
+        assert short.any() and not short.all()
+        assert np.array_equal(jac.data[short], want.data[short])
+        assert np.all(np.abs(jac.data - want.data)[~short] <= self.reordering_bound(coo)[~short])
 
     def test_scatter_matches_scipy_wide_stencil(self):
         # SciPy sorts columns longer than 16 entries with an unstable sort, so
         # it adds repeated entries in another order: bound the difference by
-        # the reordering error of summing k terms, (k - 1) eps sum|terms|.
+        # the reordering error of summing k terms.
         jac, want, coo = self.scatter_and_scipy(2.001)
-        abs_sum = sp.coo_matrix((np.abs(coo.data), (coo.row, coo.col)), shape=coo.shape).tocsc().data
-        terms = sp.coo_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape).tocsc().data
-        bound = (terms - 1) * np.finfo(float).eps * abs_sum
-        assert np.all(np.abs(jac.data - want.data) <= bound)
+        assert np.all(np.abs(jac.data - want.data) <= self.reordering_bound(coo))
 
     def test_layout_compiled_once_and_shared(self):
         cloud, ops, model, specs = waterflood_setup()
