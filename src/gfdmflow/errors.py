@@ -30,7 +30,16 @@ class LinearSolveError(GfdmFlowError):
 
 
 class TimeStepCollapseError(GfdmFlowError):
-    """Repeated time-step cuts failed to produce a converged Newton step."""
+    """Repeated time-step cuts failed to produce a converged Newton step.
+
+    ``t`` is the start of the step and ``dt`` the last step size tried;
+    ``node`` and ``variable`` (``"p"`` or ``"Sw"``) name the unknown whose
+    row held the worst residual at the end of that last attempt.
+    """
+
+    def __init__(self, message: str, *, t: float, dt: float, node: int, variable: str):
+        super().__init__(message)
+        self.t, self.dt, self.node, self.variable = t, dt, node, variable
 
 
 class ConfigError(GfdmFlowError):

@@ -12,6 +12,13 @@ with the quartic-spline weight ``w``.  Rows of ``E = A^-1 L^T W`` are the
 coefficient rows applied to neighbor differences.  The squared weights in
 ``W`` are essential: the golden coefficient tests do not reproduce with
 unsquared weights.
+
+The whole table is built in array passes over all centers at once: the 15
+distinct entries of every ``A``, an unrolled 5x5 Cholesky factorization and
+its inverse, and the coefficients entry by entry.  That inverse also gives
+a certified lower bound on each stencil's reciprocal condition number, so
+eigenvalues are computed only for stencils near the degeneracy threshold,
+and for the table's ``rcond`` when it is first read.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +46,10 @@ __all__ = [
 
 #: Reciprocal-condition threshold below which a stencil is rejected.
 RCOND_DEGENERATE = 1e-12
+
+#: A stencil whose certified rcond bound is at least this many times
+#: ``RCOND_DEGENERATE`` is well-posed without an eigenvalue check.
+CERTIFIED_MARGIN = 1e3
 
 #: Minimum neighbor count needed to determine the five derivative unknowns.
 MIN_NEIGHBORS = 5
@@ -103,7 +115,8 @@ class DiffOperators:
     id-ordered ``neighbors``, their ``offsets`` and the coefficient rows
     ``coef[:, entries]``; row ``m`` applied to the differences
     ``u_j - u_center`` yields the m-th derivative (x, y, xx, yy, xy order).
-    ``stencils`` and ``rows`` view the table per node.
+    ``stencils`` and ``rows`` view the table per node; ``rcond`` is computed
+    when first read.
     """
 
     nodes: np.ndarray
@@ -111,8 +124,16 @@ class DiffOperators:
     neighbors: np.ndarray
     offsets: np.ndarray
     coef: np.ndarray
-    rcond: np.ndarray
     radius: float
+
+    @cached_property
+    def rcond(self) -> np.ndarray:
+        """rcond of each center's equilibrated normal equations, read off
+        their eigenvalues by the helper the build's verdicts use; the build
+        itself only certifies a lower bound for well-posed stencils."""
+        rcond = _rcond(self.offsets, self.indptr, self.radius, np.arange(len(self.nodes)))
+        rcond.flags.writeable = False
+        return rcond
 
     @property
     def stencils(self) -> Mapping[int, Stencil]:
@@ -150,19 +171,111 @@ def _neighbor_table(cloud: NodeCloud, centers: np.ndarray, r_e: float):
     return indptr, keys % n
 
 
+# Row and column of the 15 distinct entries of a symmetric 5x5 matrix, and
+# the place among them of every entry (a, b), in either order.
+_UPPER = np.triu_indices(5)
+_ENTRY = np.zeros((5, 5), dtype=np.intp)
+_ENTRY[_UPPER] = _ENTRY.T[_UPPER] = np.arange(15)
+
+
+def _normal_entries(offsets: np.ndarray, indptr: np.ndarray, r_e: float):
+    """``(A, WL, w2)``: the 15 distinct entries of each center's normal
+    matrix ``A = L^T W L`` on radius-scaled offsets, ``(15, centers)``, the
+    weighted Taylor rows ``W L`` of the entries, ``(5, entries)``, and their
+    squared weights.
+
+    ``A`` is summed per center over ``indptr``.  A center without entries
+    gets the next center's first product; it is never solved, as no center
+    with fewer than ``MIN_NEIGHBORS`` is.
+    """
+    dx, dy = offsets.T / r_e
+    w2 = weight(np.hypot(offsets[:, 0], offsets[:, 1]), r_e) ** 2
+    L = np.stack([dx, dy, 0.5 * dx**2, 0.5 * dy**2, dx * dy])
+    WL = L * w2
+    # products L_a (W L)_b in _UPPER order; a zero last column closes the last segment
+    products = np.zeros((15, len(w2) + 1))
+    for a, first in enumerate(_ENTRY.diagonal()):
+        np.multiply(L[a], WL[a:], out=products[first : first + 5 - a, :-1])
+    return np.add.reduceat(products, indptr[:-1], axis=1), WL, w2
+
+
+def _rcond(offsets: np.ndarray, indptr: np.ndarray, r_e: float, which: np.ndarray) -> np.ndarray:
+    """rcond of the equilibrated normal matrix of each stencil ``which[i]``
+    of the table ``(indptr, offsets)``; 0 for fewer than ``MIN_NEIGHBORS``.
+
+    The equilibrated matrix is symmetric positive semidefinite, so its
+    singular values are its eigenvalues; one a round-off below zero counts
+    as zero, and a zero diagonal entry gives 0.  Stencils of one size share
+    one stacked product and eigenvalue pass; each matrix is still its own
+    product, so a stencil's rcond does not depend on which others are
+    asked for, and a build's error message and the table's ``rcond`` agree
+    bit for bit.
+    """
+    sizes = np.diff(indptr)[which]
+    rcond = np.zeros(len(which))
+    for size in np.unique(sizes[sizes >= MIN_NEIGHBORS]):
+        group = np.flatnonzero(sizes == size)
+        off = offsets[(indptr[which[group]][:, None] + np.arange(size)).ravel()]
+        L = _taylor_matrix(off / r_e).reshape(len(group), size, 5)
+        w2 = weight(np.hypot(off[:, 0], off[:, 1]), r_e) ** 2
+        A = np.matmul(L.transpose(0, 2, 1), L * w2.reshape(len(group), size, 1))
+        d = np.diagonal(A, axis1=1, axis2=2)
+        eq = np.flatnonzero((d > 0).all(axis=1))
+        s = 1.0 / np.sqrt(d[eq])[:, :, None]
+        ev = np.linalg.eigvalsh(A[eq] * (s * s.transpose(0, 2, 1)))
+        rcond[group[eq]] = np.maximum(ev[:, 0], 0.0) / ev[:, -1]
+    return rcond
+
+
+def _cholesky_inverse(A: np.ndarray):
+    """``(inverse, ok)``: the 15 entries of the inverse of each symmetric
+    5x5 matrix given by its 15 entries ``A``, ``(15, m)``, from an unrolled
+    Cholesky factorization ``A = C C^T``, and whether all its pivots were
+    positive.  A non-positive pivot is taken as 1, so the arithmetic stays
+    finite; that inverse is meaningless.
+    """
+    m = A.shape[1]
+    C = np.zeros((5, 5, m))
+    ok = np.ones(m, dtype=bool)
+    for j in range(5):
+        pivot = A[_ENTRY[j, j]] - np.einsum("km,km->m", C[j, :j], C[j, :j])
+        ok &= pivot > 0
+        C[j, j] = np.sqrt(np.where(pivot > 0, pivot, 1.0))
+        C[j + 1 :, j] = (A[_ENTRY[j + 1 :, j]] - np.einsum("ikm,km->im", C[j + 1 :, :j], C[j, :j])) / C[j, j]
+    # Z = C^-1 row by row, from row i of C Z = I
+    Z = np.zeros((5, 5, m))
+    for i in range(5):
+        Z[i, : i + 1] = -np.einsum("km,kjm->jm", C[i, :i], Z[:i, : i + 1])
+        Z[i, i] += 1.0
+        Z[i, : i + 1] /= C[i, i]
+    # A^-1 = Z^T Z
+    return np.einsum("kam,kbm->abm", Z, Z)[_UPPER], ok
+
+
 def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: str) -> DiffOperators:
-    """The operator table of ``centers`` (sorted ids), in one batched pass.
+    """The operator table of ``centers`` (sorted ids), in one array pass.
 
     The normal equations are solved on radius-scaled offsets after symmetric
     Jacobi equilibration, so the degeneracy estimate is invariant to node
     spacing and to near-cutoff weights that merely scale a column (a weight
     of 1e-17 on the only xy-resolving neighbors is harmless scaling, not
     rank deficiency; true collinearity survives equilibration and is
-    rejected).  The equilibrated matrix is symmetric positive semidefinite,
-    so its rcond is read off its eigenvalues, which are its singular values.
-    The stencils come from one pair query (:func:`_neighbor_table`), and
-    stencils of one size share one stacked product, eigenvalue pass and
-    solve.
+    rejected).  The stencils come from one pair query
+    (:func:`_neighbor_table`); every later array spans all centers or all
+    entries, with no loop over stencils or stencil sizes.  Each
+    equilibrated matrix ``A_eq = s A s`` goes through an unrolled Cholesky
+    (:func:`_cholesky_inverse`), and the coefficients are ``s A_eq^-1 s
+    (W L)^T``.  The inverse certifies the verdict too: ``rcond >= 1 / (tr
+    A_eq tr A_eq^-1)``, so a stencil that this bound clears by
+    ``CERTIFIED_MARGIN`` is well-posed.  Only the others, among them those
+    with a zero diagonal entry or a non-positive pivot, have their rcond
+    read off eigenvalues (:func:`_rcond`), so the verdicts are the
+    eigenvalues' verdicts.  A stencil that eigenvalues pass has its
+    Cholesky pivots positive: with a unit diagonal and ``rcond >= 1e-12``
+    its least eigenvalue is far above the ~``n^2 eps`` at which a 5x5
+    Cholesky can break down (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, chapter 10); one that did would be rejected,
+    not solved.
     """
     if degenerate not in ("raise", "inverse"):
         raise ValueError("degenerate must be 'raise' or 'inverse'")
@@ -171,35 +284,37 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
     indptr, neighbors = _neighbor_table(cloud, centers, r_e)
     sizes = np.diff(indptr)
     offsets = cloud.positions[neighbors] - cloud.positions[np.repeat(centers, sizes)]
+    A, WL, w2 = _normal_entries(offsets, indptr, r_e)
 
-    L = _taylor_matrix(offsets / r_e)
-    w2 = weight(np.hypot(offsets[:, 0], offsets[:, 1]), r_e) ** 2
-    WL = L * w2[:, None]
-    coef = np.empty((5, len(neighbors)))
+    # a center with a zero diagonal entry or too few neighbors takes the
+    # identity, for finite arithmetic
+    d = A[_ENTRY.diagonal()]
+    fit = (sizes >= MIN_NEIGHBORS) & (d > 0).all(axis=0)
+    s = 1.0 / np.sqrt(np.where(fit, d, 1.0))
+    ss = s[_UPPER[0]] * s[_UPPER[1]]
+    A_eq = np.where(fit, A * ss, (_UPPER[0] == _UPPER[1])[:, None])
+    inverse, pivots = _cholesky_inverse(A_eq)
+    bound = 1.0 / (A_eq[_ENTRY.diagonal()].sum(axis=0) * inverse[_ENTRY.diagonal()].sum(axis=0))
+    ok = fit & pivots & (bound >= CERTIFIED_MARGIN * RCOND_DEGENERATE)
+    check = np.flatnonzero(~ok & (sizes >= MIN_NEIGHBORS))
     rcond = np.zeros(len(centers))
-    for size in np.unique(sizes[sizes >= MIN_NEIGHBORS]):
-        group = np.flatnonzero(sizes == size)
-        entries = indptr[group][:, None] + np.arange(size)
-        WL_g = WL[entries]
-        A = np.matmul(L[entries].transpose(0, 2, 1), WL_g)
-        # equilibrated A * (s_i * s_j); with a zero diagonal entry rcond stays 0
-        d = np.diagonal(A, axis1=1, axis2=2)
-        eq = np.flatnonzero((d > 0).all(axis=1))
-        s = 1.0 / np.sqrt(d[eq])[:, :, None]
-        A_eq = A[eq] * (s * s.transpose(0, 2, 1))
-        # an eigenvalue a round-off below zero counts as zero
-        ev = np.linalg.eigvalsh(A_eq)
-        rcond[group[eq]] = np.maximum(ev[:, 0], 0.0) / ev[:, -1]
-        ok = rcond[group[eq]] >= RCOND_DEGENERATE
-        E = s[ok] * np.linalg.solve(A_eq[ok], s[ok] * WL_g[eq[ok]].transpose(0, 2, 1))
-        # derivatives w.r.t. scaled coordinates back to physical units
-        E[:, :2] /= r_e
-        E[:, 2:] /= r_e**2
-        coef[:, entries[eq[ok]]] = E.transpose(1, 0, 2)
+    if len(check):
+        rcond[check] = _rcond(offsets, indptr, r_e, check)
+        ok[check] = (rcond[check] >= RCOND_DEGENERATE) & pivots[check]
+
+    # coef = s A_eq^-1 s (W L)^T, entry by entry from the center's 15
+    # entries, then derivatives w.r.t. scaled coordinates to physical units
+    M = np.repeat(inverse * ss, sizes, axis=1)
+    coef = np.zeros((5, len(neighbors)))
+    for a in range(5):
+        for b in range(5):
+            coef[a] += M[_ENTRY[a, b]] * WL[b]
+    coef[:2] /= r_e
+    coef[2:] /= r_e**2
 
     # errors and inverses in center order: the lowest offending center is named
     under = sizes < MIN_NEIGHBORS
-    flagged = ~under & (rcond < RCOND_DEGENERATE)
+    flagged = ~under & ~ok
     offending = np.flatnonzero(under | flagged if degenerate == "raise" else under)
     stop = offending[0] if len(offending) else len(centers)
     for k in np.flatnonzero(flagged[:stop]):
@@ -228,7 +343,7 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
             "(neighbor geometry cannot determine all five derivatives)"
         )
 
-    table = (centers, indptr, neighbors, offsets, coef, rcond)
+    table = (centers, indptr, neighbors, offsets, coef)
     for array in table:
         array.flags.writeable = False
     return DiffOperators(*table, float(r_e))

@@ -379,8 +379,10 @@ def advance(
     first Jacobian, which its first Newton update then uses (the assembly
     returns the same residual bits on both evaluation paths), so an attempt
     that starts converged builds one unused Jacobian.  After ``max_cuts``
-    consecutive cuts a :class:`TimeStepCollapseError` is raised with
-    diagnostics.
+    consecutive cuts a :class:`TimeStepCollapseError` is raised; it names
+    the node and the variable of the worst residual of the last attempt,
+    with the unknowns in the interleaved ``(p, Sw)`` order of
+    :meth:`~gfdmflow.physics.SimState.to_vector`.
     """
     if not (0 < dt <= tc.dt_max):
         raise ValueError("dt must lie in (0, dt_max]")
@@ -408,10 +410,15 @@ def advance(
             continue
         cuts += 1
         if cuts > tc.max_cuts:
+            # evaluated again only here, so no converging march pays for it
+            worst = np.nan_to_num(np.abs(problem.residual(x, x_old, dt)), nan=np.inf)
+            node, row = divmod(int(np.argmax(worst)), 2)
+            variable = ("p", "Sw")[row]
             raise TimeStepCollapseError(
                 f"time step collapse at t={t:.6g}: {tc.max_cuts} cuts from "
                 f"dt={dt / tc.dt_cut ** (cuts - 1):.3g} reached dt={dt:.3g}, "
-                f"last residual norm {norm:.3e}"
+                f"last residual norm {norm:.3e}, worst at node {node} ({variable})",
+                t=t, dt=dt, node=node, variable=variable,
             )
         dt = dt * tc.dt_cut
 

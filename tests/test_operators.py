@@ -16,7 +16,14 @@ from gfdmflow import (
     stencil_quality,
     weight,
 )
-from gfdmflow.operators import RCOND_DEGENERATE, _neighbor_table, _taylor_matrix, build_node_rows, write_operator_csv
+from gfdmflow.operators import (
+    RCOND_DEGENERATE,
+    _build_table,
+    _neighbor_table,
+    _taylor_matrix,
+    build_node_rows,
+    write_operator_csv,
+)
 from gfdmflow.pipeline import build_cloud
 
 import golden
@@ -336,9 +343,68 @@ def _svd_rcond(offsets, r_e):
     return sv[-1] / sv[0]
 
 
+def _tilted_cloud(eps):
+    """A center at the origin with neighbors on the rows dy = 0 and dy = -1,
+    where dy + dy^2 vanishes, so uy and uyy cannot be told apart; the
+    neighbor at (1, -1) is lifted by ``eps``, which gives rcond ~ 1.1 eps^2
+    at r_e = 2.5."""
+    offsets = np.array([(-2, 0), (-1, 0), (1, 0), (2, 0), (-1, -1), (0, -1), (1, -1), (-2, -1), (2, -1)], float)
+    offsets[6, 1] += eps
+    return interior_cloud(offsets, h=1.0), offsets
+
+
 class TestRcond:
-    """rcond from the eigenvalues of the symmetric equilibrated normal
-    matrix against its singular values."""
+    """The build's verdicts and the table's rcond, read off the eigenvalues
+    of the symmetric equilibrated normal matrix, against its singular
+    values."""
+
+    @pytest.mark.parametrize("name, overrides", [case for case in SHIPPED if case[0] != "diagnose_layouts.cfg"])
+    def test_shipped_builds_need_no_eigenvalues(self, name, overrides, monkeypatch):
+        # every stencil of the shipped clouds clears the certified bound, and
+        # rcond is computed on first read
+        config = load_config(CONFIGS / name).with_overrides(**overrides)
+        cloud = build_cloud(config)
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called by the build")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        ops = build_operators(cloud, config.influence_radius())
+        monkeypatch.undo()
+        offsets = np.split(ops.offsets, ops.indptr[1:-1])
+        want = np.array([_svd_rcond(off, ops.radius) for off in offsets])
+        assert np.all(np.abs(ops.rcond - want) <= 1e-12 * want)
+
+    def test_near_threshold_verdicts(self, monkeypatch):
+        # rcond 1.1e-14 ... 1.1e-8: both sides of RCOND_DEGENERATE and of the
+        # certified bound's margin, which clears 3.5e-9 here but not 1.1e-9
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        screened = {True: [], False: []}
+        for eps in np.logspace(-6, -3, 13):
+            cloud, offsets = _tilted_cloud(eps)
+            want = _svd_rcond(offsets, 2.5)
+            # eigenvalue and singular-value rcond agree to ~eps / rcond, so
+            # no point may sit within round-off of the threshold
+            assert abs(np.log10(want / RCOND_DEGENERATE)) > 0.02
+            calls.clear()
+            if want < RCOND_DEGENERATE:
+                with pytest.raises(DegenerateStencilError, match="at node 0: rcond="):
+                    _build_table(cloud, np.array([0]), 2.5, "raise")
+            else:
+                _build_table(cloud, np.array([0]), 2.5, "raise")
+            screened[want >= RCOND_DEGENERATE].append(not calls)
+        assert len(screened[False]) == 4 and not any(screened[False])
+        assert any(screened[True]) and not all(screened[True])
+
+    def test_error_prints_table_rcond(self):
+        cloud, _ = _tilted_cloud(3e-6)
+        with pytest.raises(DegenerateStencilError) as info:
+            build_node_rows(cloud, 0, 2.5)
+        stencil, _ = build_node_rows(cloud, 0, 2.5, degenerate="inverse")
+        assert 0 < stencil.rcond < RCOND_DEGENERATE
+        assert f"rcond={stencil.rcond:.2e} " in str(info.value)
 
     @pytest.mark.parametrize("r_e", [1.5, 1.6, 2.0, 2.5, 3.0])
     def test_layout_verdicts(self, r_e):

@@ -557,8 +557,27 @@ class TestAdvance:
     def test_collapse_raises(self):
         problem = ScalarProblem(solvable=False)
         tc = TimeControl(dt_init=1.0, dt_max=1.0, t_end=2.0, max_newton=2, max_cuts=3)
-        with pytest.raises(TimeStepCollapseError, match="collapse"):
+        with pytest.raises(TimeStepCollapseError, match="collapse") as info:
             advance(problem, np.array([1.0]), 0.0, 1.0, tc)
+        err = info.value
+        assert (err.t, err.dt, err.node, err.variable) == (0.0, 0.125, 0, "p")
+        assert "t=0: 3 cuts from dt=1 reached dt=0.125" in str(err)
+        assert "worst at node 0 (p)" in str(err)
+
+    def test_collapse_names_worst_residual(self):
+        # a residual that no update moves: (p, Sw) of nodes 0 and 1, the
+        # worst in node 1's Sw row
+        class StuckProblem:
+            def residual(self, x, x_old, dt):
+                return np.array([1e-3, -2.0, 5.0, -7.0])
+
+            def residual_and_jacobian(self, x, x_old, dt):
+                return self.residual(x, x_old, dt), sp.identity(4, format="csc")
+
+        tc = TimeControl(dt_init=2.0, dt_max=2.0, t_end=10.0, max_newton=3, max_cuts=2)
+        with pytest.raises(TimeStepCollapseError, match=r"at t=4: .* worst at node 1 \(Sw\)") as info:
+            advance(StuckProblem(), np.zeros(4), 4.0, 2.0, tc)
+        assert (info.value.t, info.value.dt, info.value.node, info.value.variable) == (4.0, 0.5, 1, "Sw")
 
     @pytest.mark.parametrize("dt", [0.0, -0.5, 1.5, np.nan], ids=["zero", "negative", "above-dt-max", "nan"])
     def test_dt_outside_range_rejected(self, dt):
