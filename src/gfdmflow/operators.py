@@ -262,8 +262,7 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
     rank deficiency; true collinearity survives equilibration and is
     rejected).  The stencils come from one pair query
     (:func:`_neighbor_table`); every later array spans all centers or all
-    entries, with no loop over stencils or stencil sizes.  Each
-    equilibrated matrix ``A_eq = s A s`` goes through an unrolled Cholesky
+    entries at once.  Each equilibrated matrix ``A_eq = s A s`` goes through an unrolled Cholesky
     (:func:`_cholesky_inverse`), and the coefficients are ``s A_eq^-1 s
     (W L)^T``.  The inverse certifies the verdict too: ``rcond >= 1 / (tr
     A_eq tr A_eq^-1)``, so a stencil that this bound clears by
@@ -298,9 +297,8 @@ def _build_table(cloud: NodeCloud, centers: np.ndarray, r_e: float, degenerate: 
     ok = fit & pivots & (bound >= CERTIFIED_MARGIN * RCOND_DEGENERATE)
     check = np.flatnonzero(~ok & (sizes >= MIN_NEIGHBORS))
     rcond = np.zeros(len(centers))
-    if len(check):
-        rcond[check] = _rcond(offsets, indptr, r_e, check)
-        ok[check] = (rcond[check] >= RCOND_DEGENERATE) & pivots[check]
+    rcond[check] = _rcond(offsets, indptr, r_e, check)
+    ok[check] = (rcond[check] >= RCOND_DEGENERATE) & pivots[check]
 
     # coef = s A_eq^-1 s (W L)^T, entry by entry from the center's 15
     # entries, then derivatives w.r.t. scaled coordinates to physical units
