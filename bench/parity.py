@@ -12,6 +12,11 @@ then prints every checkout's steps, Newton iterations, cut events and
 restarts, and, for each later checkout against the first, whether the step
 records are equal (bit for bit) and the largest ``|dp|`` and ``|dSw|`` of
 the final states.  It writes nothing in the checkouts.
+
+It exits with status 0 when every later checkout holds every workload with
+step records, cut and restart counts and final states bit-identical to the
+first checkout's, and with status 1 otherwise: it is the "held against the
+parent" check.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ def main(argv=None) -> int:
                 results[c] = dict(data)
 
     first = checkouts[0]
+    held = True
     for name in sorted({key.split("/")[0] for key in results[first]}):
         print(name)
         ref = results[first]
@@ -87,6 +93,7 @@ def main(argv=None) -> int:
             mine = results[c]
             if f"{name}/steps" not in mine:
                 print(f"  {c.name}: no such workload")
+                held = False
                 continue
             steps, (cuts, restarts) = mine[f"{name}/steps"], mine[f"{name}/counts"]
             line = f"  {c.name}: {len(steps)} steps, {int(steps[:, 2].sum())} Newton, {cuts} cuts, {restarts} restarts"
@@ -95,8 +102,15 @@ def main(argv=None) -> int:
                 dp = np.max(np.abs(mine[f"{name}/p"] - ref[f"{name}/p"]))
                 dsw = np.max(np.abs(mine[f"{name}/sw"] - ref[f"{name}/sw"]))
                 line += f", max |dp| {dp:.3g}, max |dSw| {dsw:.3g}"
+                held &= bool(
+                    np.array_equal(steps, ref[f"{name}/steps"])
+                    and np.array_equal(mine[f"{name}/counts"], ref[f"{name}/counts"])
+                    and np.array_equal(mine[f"{name}/p"], ref[f"{name}/p"])
+                    and np.array_equal(mine[f"{name}/sw"], ref[f"{name}/sw"])
+                )
             print(line)
-    return 0
+    print("held: every checkout matches the first" if held else "not held: some checkout differs from the first")
+    return 0 if held else 1
 
 
 if __name__ == "__main__":

@@ -117,6 +117,10 @@ class PairFluxSystem:
         """CSC layout of the frozen pattern, ``(indptr, indices, slot)``:
         contribution ``k`` of :meth:`_pattern` adds into ``data[slot[k]]``.
 
+        Pattern rows 0, 2, 4 and 6 of the pair tangents fall in the 2x2
+        diagonal block of ``pair_i``, a flow node, where its accumulation
+        entries already name the slots; so only the other contributions are
+        sorted, and those four rows copy their slots from the accumulation's.
         Keys ``col * n + row`` sort into CSC order; they are int32 while
         ``n**2`` fits, which keeps this one-time pass light on memory.  The
         index arrays are int32 whenever ``n + 1`` and ``nnz`` fit: scipy
@@ -125,9 +129,20 @@ class PairFluxSystem:
         """
         n = self.n_unknowns
         dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-        rows, cols = self._pattern(dtype)
-        keys = cols * dtype(n) + rows
-        del rows, cols
+        pi, pj, f = (ids.astype(dtype, copy=False) for ids in (self.pair_i, self.pair_j, self.flow_ids))
+        m, n_acc, n_terms = len(pi), 4 * len(f), len(self.term_row)
+        # the sorted keys: pattern rows 1, 3, 5, 7, at (2 pi + a, 2 pj + b)
+        # for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1), then the accumulation
+        # entries (2 f + a, 2 f + b) in the same order per node, then the
+        # term rows and the value rows
+        keys = np.empty(4 * m + n_acc + n_terms + len(self.row), dtype=dtype)
+        pair_keys, acc_keys = keys[: 4 * m].reshape(4, m), keys[4 * m : 4 * m + n_acc].reshape(-1, 4).T
+        for base, out in ((2 * pj * dtype(n) + 2 * pi, pair_keys), (2 * f * dtype(n) + 2 * f, acc_keys)):
+            for k, shift in enumerate((0, n, 1, n + 1)):
+                np.add(base, dtype(shift), out=out[k])
+        keys[4 * m + n_acc : 4 * m + n_acc + n_terms] = self.term_col * n + self.term_row
+        keys[4 * m + n_acc + n_terms :] = self.row_ref * n + self.row
+        del pair_keys, acc_keys, base, out
         order = np.argsort(keys)
         keys = keys[order]
         first = np.empty(len(keys), dtype=bool)
@@ -135,9 +150,20 @@ class PairFluxSystem:
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         rank = np.cumsum(first, dtype=np.intp)
         rank -= 1
-        slot = np.empty_like(rank)
-        slot[order] = rank
+        sorted_slot = np.empty_like(rank)
+        sorted_slot[order] = rank
         del order, rank
+        slot = np.empty(4 * m + len(sorted_slot), dtype=np.intp)
+        pair_slot = slot[: 8 * m].reshape(8, m)
+        pair_slot[1::2] = sorted_slot[: 4 * m].reshape(4, m)
+        slot[8 * m :] = sorted_slot[4 * m :]
+        # pattern row 2 k takes the k-th accumulation slot of node pair_i
+        acc_slot = sorted_slot[4 * m : 4 * m + n_acc].reshape(-1, 4)
+        flow_index = np.empty(self.n_nodes, dtype=np.intp)
+        flow_index[self.flow_ids] = np.arange(len(f))
+        pair_flow = flow_index[self.pair_i]
+        for k in range(4):
+            np.take(acc_slot[:, k], pair_flow, out=pair_slot[2 * k])
         keys = keys[first]
         index_dtype = np.int32 if max(n + 1, len(keys)) <= np.iinfo(np.int32).max else dtype
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(index_dtype)

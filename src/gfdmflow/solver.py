@@ -32,6 +32,17 @@ misses its residual target.  The pattern's plan holds that LU, so a solve
 depends on the LU held from earlier solves of the same pattern, but
 :func:`simulate` starts every march without one and drops it at the end:
 a march's result does not depend on what ran before it.
+
+A march never holds its first factorization, the one of the Jacobian at the
+initial state: it serves its own solve and is released, and the next solve
+factors its own Jacobian directly.  Ahead of the front ``krw(Swc) = 0``
+zeroes most of that first Jacobian's entries (70% on the 2 m polygon), and
+as a lagged preconditioner it missed on every shipped workload.  A miss's
+answer is discarded and the refactorization factors the same matrix, so
+there the rule saves the ``GMRES_STEPS`` steps of the miss without moving a
+bit of the march; where the lagged solve would have met its target, the
+direct answer replaces one within ``GMRES_RTOL``.  Outside a march every
+dense-fill LU is held.
 """
 
 from __future__ import annotations
@@ -164,13 +175,15 @@ class _FrozenOrdering(_Plan):
         return sp.csc_matrix((data[self.perm_data_map], self.perm_indices, self.perm_indptr), shape=(n, n))
 
     def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        global _release_next_lu
         permuted, b = self.permuted(data), rhs[self.q]
         y = None if self.lu is None else _lagged_gmres(permuted, b, self.lu)
         if y is None:
             self.lu = None  # released before the new factorization
             lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
             y = lu.solve(b)
-            if lu.nnz > KEEP_FILL * len(b):
+            release, _release_next_lu = _release_next_lu, False
+            if lu.nnz > KEEP_FILL * len(b) and not release:
                 self.lu = lu
         x = np.empty(len(rhs))
         x[self.q] = y
@@ -246,6 +259,10 @@ GMRES_RTOL = 1e-10
 # solves one frozen pattern over and over.  :func:`simulate` drops the held
 # LU when a march starts and when it ends.
 _ordering: _Plan | None = None
+# Armed by :func:`simulate` when a march starts: the next SuperLU
+# factorization, the march's first, serves its solve and is not held.
+# Disarmed by that factorization and when the march ends.
+_release_next_lu = False
 
 
 def _lagged_gmres(a, b: np.ndarray, lu) -> np.ndarray | None:
@@ -326,7 +343,9 @@ def direct_solve(jac, rhs):
     first.  A sparser LU is never held, so such patterns take the exact path
     on every call.  The answer thus depends on the held LU; :func:`simulate`
     drops it when a march starts and ends, so a march's result does not
-    depend on what ran before it.
+    depend on what ran before it.  Inside a march the first factorization,
+    the initial state's, is not held either: the next solve factors its own
+    Jacobian without a lagged attempt, which would miss and be discarded.
 
     Raises :class:`LinearSolveError` when the factorization fails (a
     Jacobian without stored entries included) or the update is not finite.
@@ -439,6 +458,7 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     carries over from another march.
     Deterministic for fixed inputs: the march starts without a held LU and
     drops the one :func:`direct_solve` holds when it ends, also on error.
+    Its first factorization is released after its solve, never held.
     """
     targets = sorted({float(t) for t in output_times if 0.0 < t <= tc.t_end} | ({tc.t_end} if tc.t_end > 0 else set()))
     snapshots: dict[float, np.ndarray] = {0.0: x0.copy()}
@@ -449,7 +469,7 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     dt = tc.dt_init
     eps = 1e-9 * max(tc.t_end, 1.0)
     next_idx = 0
-    _drop_held_lu()
+    _reset_held_lu(march_starts=True)
     try:
         while t < tc.t_end - eps:
             dt_step = min(dt, tc.dt_max)
@@ -466,10 +486,14 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
                 snapshots[targets[next_idx]] = x.copy()
                 next_idx += 1
     finally:
-        _drop_held_lu()
+        _reset_held_lu(march_starts=False)
     return snapshots, report
 
 
-def _drop_held_lu() -> None:
+def _reset_held_lu(march_starts: bool) -> None:
+    """Drop the held LU, and arm the release of the next factorization
+    when a march starts, or disarm it when one ends."""
+    global _release_next_lu
+    _release_next_lu = march_starts
     if _ordering is not None:
         _ordering.lu = None

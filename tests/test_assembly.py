@@ -412,8 +412,45 @@ class TestStructuralProperties:
             assert r[2 * i] + r[2 * i + 1] == pytest.approx(total, abs=1e-12)
 
 
+def argsort_layout(system):
+    """The CSC layout ``(indptr, indices, slot)`` of ``system``'s pattern by
+    one stable argsort over every contribution's ``col * n + row`` key."""
+    rows, cols = system._pattern()
+    n = system.n_unknowns
+    keys = cols * n + rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    slot = np.empty(len(keys), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    unique = keys[first]
+    return np.searchsorted(unique, np.arange(n + 1) * n), unique % n, slot
+
+
 class TestCompiledCsc:
     """The Jacobian is scattered into a CSC layout compiled once per system."""
+
+    @pytest.mark.parametrize("case", ["meshless", "fdm", "jittered"])
+    def test_layout_matches_argsort_oracle(self, case):
+        # the pair tangents' diagonal blocks take the accumulation's slots
+        # unsorted; the layout must equal the one sort over everything
+        if case == "fdm":
+            grid = FdmGrid(nx=11, ny=5, dx=4.0, dy=4.0)
+            system = FdmSystem(grid, ReservoirModel.uniform(grid.n_nodes), FDM_SIDES)
+        elif case == "jittered":
+            config = load_config(CONFIGS / "waterflood_polygon.cfg").with_overrides(spacing=8.0, radius_absolute=16.0)
+            cloud = build_cloud(config)
+            ops = build_operators(cloud, config.influence_radius())
+            model = build_model(config, len(cloud))
+            system = ImplicitSystem(cloud, ops, model, assign_boundary_specs(cloud, config))
+        else:
+            system = ImplicitSystem(*waterflood_setup(mult=2.001))
+            assert len(system.term_row) and len(system.row) > len(system.term_row) / 100  # virtual and Dirichlet rows
+        indptr, indices, slot = system._compile_csc()
+        want = argsort_layout(system)
+        assert indptr.dtype == indices.dtype == np.int32 and slot.dtype == np.intp
+        for got, wanted in zip((indptr, indices, slot), want):
+            assert np.array_equal(got, wanted)
 
     @staticmethod
     def scatter_and_scipy(mult):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ class TestLatticeInterpolation:
         want = 10.0 + 0.025 * X
         assert np.nanmax(np.abs(P - want) / np.abs(want)) < 1e-2
 
+    def test_query_threads_leave_lattice_bits(self, monkeypatch):
+        from gfdmflow import generate_irregular_cloud, postproc
+
+        poly = ((0.0, 0.0), (200.0, 0.0), (200.0, 80.0), (0.0, 80.0))
+        cloud = generate_irregular_cloud(poly, 4.0, seed=7, jitter=0.3)
+        x, y = cloud.positions[:, 0], cloud.positions[:, 1]
+        snap = FieldSnapshot(1.0, x, y, 10.0 + np.sin(0.1 * x) * y, 0.2 + 0.003 * x)
+        threaded = interpolate_to_lattice(snap, Polygon(poly), 1.0)
+        monkeypatch.setattr(postproc, "QUERY_WORKERS", 1)
+        single = interpolate_to_lattice(snap, Polygon(poly), 1.0)
+        for got, want in zip(threaded, single):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFrontMetrics:
     def test_sharp_front(self):
@@ -122,6 +137,21 @@ class TestSnapshotCsv:
         assert back.time == snap.time
         assert np.array_equal(back.x, snap.x)
         assert np.array_equal(back.p, snap.p)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((4, 50)) * 10.0 ** rng.integers(-300, 300, (4, 50))
+        values[:, :3] = [-0.0, 1e22, 5e-324]
+        snap = FieldSnapshot(0.05, *values)
+        path = tmp_path / "snap.csv"
+        snap.write_csv(path)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "x", "y", "p", "Sw"])
+            for k in range(values.shape[1]):
+                writer.writerow([repr(float(snap.time))] + [repr(float(v)) for v in values[:, k]])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

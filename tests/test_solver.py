@@ -668,6 +668,42 @@ class TestSimulate:
         assert report_a.steps == report_b.steps
         assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
 
+    def test_first_factorization_never_preconditions(self, monkeypatch):
+        # the initial state's LU serves its own solve and is released: no
+        # lagged solve of the march is preconditioned by it
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        factorizations, preconditioners = [], []
+        splu, lagged_gmres = solver.spla.splu, solver._lagged_gmres
+
+        def recording_splu(a, permc_spec=None, **kwargs):
+            lu = splu(a, permc_spec=permc_spec, **kwargs)
+            if permc_spec == "NATURAL":
+                factorizations.append(lu)
+            return lu
+
+        def recording_lagged_gmres(a, b, lu):
+            preconditioners.append(lu)
+            return lagged_gmres(a, b, lu)
+
+        monkeypatch.setattr(solver.spla, "splu", recording_splu)
+        monkeypatch.setattr(solver, "_lagged_gmres", recording_lagged_gmres)
+        tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
+        simulate(system, uniform_state(cloud).to_vector(), tc)
+        assert len(factorizations) >= 2 and preconditioners
+        assert all(lu is not factorizations[0] for lu in preconditioners)
+
+    def test_march_without_factorization_leaves_solves_holding(self):
+        # the release is armed for a march only: a march that ends before
+        # factoring anything leaves the next solve's LU held
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        x0 = uniform_state(cloud).to_vector()
+        simulate(system, x0, TimeControl(dt_init=0.01, dt_max=2.0, t_end=0.0))
+        residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
+        solver.direct_solve(jac, -residual)
+        assert solver._ordering.lu is not None
+
     def test_failed_march_drops_held_lu(self):
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
 
