@@ -7,15 +7,18 @@ Usage, from the repository root:
 For each checkout a child process imports that checkout's ``src`` and
 ``perfbench`` and runs every workload of its ``perfbench/workloads.py``, over
 the workload's full span, through ``pipeline.run_scenario`` (meshless) or
-``pipeline.run_fdm_scenario`` (FDM reference).  For each workload the script
-then prints every checkout's steps, Newton iterations, cut events and
-restarts, and, for each later checkout against the first, whether the step
-records are equal (bit for bit) and the largest ``|dp|`` and ``|dSw|`` of
-the final states.  It writes nothing in the checkouts.
+``pipeline.run_fdm_scenario`` (FDM reference), twice in a row.  For each
+workload the script then prints every checkout's steps, Newton iterations,
+cut events and restarts, whether its second march repeats its first, and,
+for each later checkout against the first, whether the step records are
+equal (bit for bit) and the largest ``|dp|`` and ``|dSw|`` of the final
+states.  It writes nothing in the checkouts.
 
-It exits with status 0 when every later checkout holds every workload with
-step records, cut and restart counts and final states bit-identical to the
-first checkout's, and with status 1 otherwise: it is the "held against the
+It exits with status 0 when every checkout's second march of every workload
+is bit-identical to its first, so that a march does not depend on what ran
+before it in the process, and every later checkout holds every workload
+with step records, cut and restart counts and final states bit-identical to
+the first checkout's; with status 1 otherwise.  It is the "held against the
 parent" check.
 """
 
@@ -31,8 +34,9 @@ import numpy as np
 
 
 def march(checkout: Path, out: Path) -> None:
-    """Run every workload of ``checkout`` through its pipeline and save the
-    step records, counts and final state of each in ``out``."""
+    """Run every workload of ``checkout`` through its pipeline twice and save
+    the step records, counts and final state of each march in ``out``, the
+    second under ``<workload>/again``."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     from gfdmflow.pipeline import run_fdm_scenario, run_scenario
     from workloads import WORKLOADS, workload_config
@@ -40,16 +44,24 @@ def march(checkout: Path, out: Path) -> None:
     saved = {}
     for name, wl in WORKLOADS.items():
         config = workload_config(wl, checkout, wl.t_end)
-        if wl.fdm is None:
-            run = run_scenario(config)
-            states, report = run.states, run.report
-        else:
-            _grid, states, report = run_fdm_scenario(config, **wl.fdm)
-        final = states[max(states)]
-        saved[f"{name}/steps"] = np.array([(s.t, s.dt, s.newton_iters, s.residual_norm) for s in report.steps])
-        saved[f"{name}/counts"] = np.array([report.cut_events, report.restarts])
-        saved[f"{name}/p"], saved[f"{name}/sw"] = final.p, final.sw
+        for key in (name, f"{name}/again"):
+            if wl.fdm is None:
+                run = run_scenario(config)
+                states, report = run.states, run.report
+            else:
+                _grid, states, report = run_fdm_scenario(config, **wl.fdm)
+            final = states[max(states)]
+            saved[f"{key}/steps"] = np.array([(s.t, s.dt, s.newton_iters, s.residual_norm) for s in report.steps])
+            saved[f"{key}/counts"] = np.array([report.cut_events, report.restarts])
+            saved[f"{key}/p"], saved[f"{key}/sw"] = final.p, final.sw
     np.savez(out, **saved)
+
+
+def same_march(mine: dict, key: str, ref: dict, ref_key: str) -> bool:
+    """Whether two saved marches have bit-identical step records, counts
+    and final states."""
+    parts = ("steps", "counts", "p", "sw")
+    return all(np.array_equal(mine[f"{key}/{part}"], ref[f"{ref_key}/{part}"]) for part in parts)
 
 
 def compare_steps(mine: np.ndarray, ref: np.ndarray) -> str:
@@ -97,19 +109,17 @@ def main(argv=None) -> int:
                 continue
             steps, (cuts, restarts) = mine[f"{name}/steps"], mine[f"{name}/counts"]
             line = f"  {c.name}: {len(steps)} steps, {int(steps[:, 2].sum())} Newton, {cuts} cuts, {restarts} restarts"
+            again = same_march(mine, name, mine, f"{name}/again")
+            line += "; second march equal" if again else "; second march differs"
+            held &= again
             if c != first:
                 line += f"; {compare_steps(steps, ref[f'{name}/steps'])}"
                 dp = np.max(np.abs(mine[f"{name}/p"] - ref[f"{name}/p"]))
                 dsw = np.max(np.abs(mine[f"{name}/sw"] - ref[f"{name}/sw"]))
                 line += f", max |dp| {dp:.3g}, max |dSw| {dsw:.3g}"
-                held &= bool(
-                    np.array_equal(steps, ref[f"{name}/steps"])
-                    and np.array_equal(mine[f"{name}/counts"], ref[f"{name}/counts"])
-                    and np.array_equal(mine[f"{name}/p"], ref[f"{name}/p"])
-                    and np.array_equal(mine[f"{name}/sw"], ref[f"{name}/sw"])
-                )
+                held &= same_march(mine, name, ref, name)
             print(line)
-    print("held: every checkout matches the first" if held else "not held: some checkout differs from the first")
+    print("held: every march matches" if held else "not held: some march differs")
     return 0 if held else 1
 
 

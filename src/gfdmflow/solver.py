@@ -20,18 +20,17 @@ that start, the step is retried once from the previous state at the same
 
 The linear solve is an LU on a frozen pattern.  The assembly returns CSC
 Jacobians that share one set of index arrays over a whole march, so
-:func:`direct_solve` compiles a plan once per pattern.  A pattern whose
-natural band is narrow, as on the FDM strip, is factored in LAPACK band
-storage (``gbsv``).  Any other pattern takes SuperLU: its fill-reducing
-column order is computed once, and the symmetrically permuted matrix is
-factored in natural order, without relaxed supernodes.  Where that LU fills
-densely it is kept and preconditions GMRES on the next Jacobians of the
-march (a lagged preconditioner in the sense of Knoll & Keyes, J. Comput.
-Phys. 193, 2004, section 3); a new factorization is made only when that
-misses its residual target.  The pattern's plan holds that LU, so a solve
-depends on the LU held from earlier solves of the same pattern, but
-:func:`simulate` starts every march without one and drops it at the end:
-a march's result does not depend on what ran before it.
+:func:`direct_solve` compiles a plan once per pattern, a pure function of
+the pattern that the process caches.  A pattern whose natural band is
+narrow, as on the FDM strip, is factored in LAPACK band storage (``gbsv``).
+Any other pattern takes SuperLU: its fill-reducing column order is computed
+once, and the symmetrically permuted matrix is factored in natural order,
+without relaxed supernodes.  Inside a march, where that LU fills densely it
+is kept and preconditions GMRES on the next Jacobians (a lagged
+preconditioner in the sense of Knoll & Keyes, J. Comput. Phys. 193, 2004,
+section 3); a new factorization is made only when that misses its residual
+target.  The march holds that LU, not the process: a march's result does
+not depend on what ran before it, and outside a march no LU is held.
 
 A march never holds its first factorization, the one of the Jacobian at the
 initial state: it serves its own solve and is released, and the next solve
@@ -41,13 +40,13 @@ as a lagged preconditioner it missed on every shipped workload.  A miss's
 answer is discarded and the refactorization factors the same matrix, so
 there the rule saves the ``GMRES_STEPS`` steps of the miss without moving a
 bit of the march; where the lagged solve would have met its target, the
-direct answer replaces one within ``GMRES_RTOL``.  Outside a march every
-dense-fill LU is held.
+direct answer replaces one within ``GMRES_RTOL``.
 """
 
 from __future__ import annotations
 
 import csv
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,12 +133,10 @@ class SolverReport:
 @dataclass(eq=False)
 class _Plan:
     """The index arrays of one CSC pattern (kept alive, so their addresses
-    are not reused), how each solve on it goes, and the LU that solves keep
-    for the next ones, if any: only a SuperLU plan keeps one."""
+    are not reused) and how each solve on it goes."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    lu: spla.SuperLU | None = field(default=None, kw_only=True)
 
     def matches(self, a) -> bool:
         # Same buffers (the assembly shares its index arrays across calls),
@@ -175,16 +172,17 @@ class _FrozenOrdering(_Plan):
         return sp.csc_matrix((data[self.perm_data_map], self.perm_indices, self.perm_indptr), shape=(n, n))
 
     def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        global _release_next_lu
         permuted, b = self.permuted(data), rhs[self.q]
-        y = None if self.lu is None else _lagged_gmres(permuted, b, self.lu)
+        # outside a march, a new state, whose one factorization is not held
+        march = _march.get() or _March()
+        y = _lagged_gmres(permuted, b, march.lu) if march.plan_of_lu is self else None
         if y is None:
-            self.lu = None  # released before the new factorization
+            march.lu = march.plan_of_lu = None  # released before the new factorization
             lu = spla.splu(permuted, permc_spec="NATURAL", relax=0)
             y = lu.solve(b)
-            release, _release_next_lu = _release_next_lu, False
-            if lu.nnz > KEEP_FILL * len(b) and not release:
-                self.lu = lu
+            march.factorizations += 1
+            if march.factorizations > 1 and lu.nnz > KEEP_FILL * len(b):
+                march.lu, march.plan_of_lu = lu, self
         x = np.empty(len(rhs))
         x[self.q] = y
         return x
@@ -255,14 +253,23 @@ GMRES_STEPS = 10
 GMRES_RTOL = 1e-10
 
 
-# The plan of the most recent pattern, with the LU it holds: a Newton march
-# solves one frozen pattern over and over.  :func:`simulate` drops the held
-# LU when a march starts and when it ends.
-_ordering: _Plan | None = None
-# Armed by :func:`simulate` when a march starts: the next SuperLU
-# factorization, the march's first, serves its solve and is not held.
-# Disarmed by that factorization and when the march ends.
-_release_next_lu = False
+# A cache of the plan of the most recent pattern, which depends only on the
+# pattern: a Newton march solves one frozen pattern over and over.
+_plan: _Plan | None = None
+
+
+@dataclass(eq=False)
+class _March:
+    """The linear-solver state of one march: the LU held for the next
+    solves, the plan that made it, and the SuperLU factorizations so far."""
+
+    lu: spla.SuperLU | None = None
+    plan_of_lu: _Plan | None = None
+    factorizations: int = 0
+
+
+# The state of the running march, set by :func:`simulate`.
+_march: ContextVar[_March | None] = ContextVar("march", default=None)
 
 
 def _lagged_gmres(a, b: np.ndarray, lu) -> np.ndarray | None:
@@ -319,7 +326,7 @@ def direct_solve(jac, rhs):
     pattern, banded where the natural band is narrow, else sparse on a
     frozen fill-reducing ordering and reused across the solves of a march.
 
-    One plan is kept, keyed on the index arrays of ``jac``: the same
+    One plan is cached, keyed on the index arrays of ``jac``: the same
     buffers, else equal contents.  A new pattern's plan reads its natural
     band, ``kl`` sub- and ``ku`` super-diagonals, off the index arrays.
 
@@ -334,30 +341,30 @@ def direct_solve(jac, rhs):
     the map from ``jac.data`` to the data of ``jac[q][:, q]``.  Each call
     factors that permuted matrix in ``NATURAL`` order without relaxed
     supernodes (``relax=0``: relaxed supernodes keep the fill but take
-    about 8x the time on jittered clouds).  A factorization with more than
-    ``KEEP_FILL`` entries per unknown is held by the plan, so it is tied to
-    the pattern, not to the buffers that carry it.  The next call on that
-    pattern first runs :func:`_lagged_gmres` preconditioned by it and
-    factors afresh only when that misses ``GMRES_RTOL`` within
-    ``GMRES_STEPS``; the new LU replaces the old one, which is released
-    first.  A sparser LU is never held, so such patterns take the exact path
-    on every call.  The answer thus depends on the held LU; :func:`simulate`
-    drops it when a march starts and ends, so a march's result does not
-    depend on what ran before it.  Inside a march the first factorization,
-    the initial state's, is not held either: the next solve factors its own
-    Jacobian without a lagged attempt, which would miss and be discarded.
+    about 8x the time on jittered clouds).  Inside a march (see
+    :func:`simulate`) a factorization with more than ``KEEP_FILL`` entries
+    per unknown is held by the march with the plan that made it, except the
+    march's first, the initial state's, which would miss as a lagged
+    preconditioner.  The next call on that plan first runs
+    :func:`_lagged_gmres` preconditioned by it and factors afresh only when
+    that misses ``GMRES_RTOL`` within ``GMRES_STEPS``; the new LU replaces
+    the old one, which is released first.  A sparser LU is never held, so
+    such patterns take the exact path on every call, as every call does
+    outside a march.  The answer thus depends on the LU held from earlier
+    solves of the march, never on what ran before it.
 
     Raises :class:`LinearSolveError` when the factorization fails (a
     Jacobian without stored entries included) or the update is not finite.
     """
-    global _ordering
+    global _plan
     a = jac.tocsc()
     a.sum_duplicates()
     try:
-        if _ordering is None or not _ordering.matches(a):
-            _ordering = None  # the old plan and its LU go before the new one is compiled
-            _ordering = _compile_pattern(a)
-        delta = _ordering.solve(a.data, rhs)
+        plan = _plan
+        if plan is None or not plan.matches(a):
+            plan = _plan = None  # the old plan goes before the new one is compiled
+            plan = _plan = _compile_pattern(a)
+        delta = plan.solve(a.data, rhs)
     except (RuntimeError, ValueError) as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(delta)):
@@ -456,9 +463,9 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     the step it took by at most ``dt_grow``, so the factor never exceeds
     that.  The start point is not clipped to physical bounds and never
     carries over from another march.
-    Deterministic for fixed inputs: the march starts without a held LU and
-    drops the one :func:`direct_solve` holds when it ends, also on error.
-    Its first factorization is released after its solve, never held.
+    Deterministic for fixed inputs: the march opens its own linear-solver
+    state, in which :func:`direct_solve` holds its LU, and drops it when it
+    ends, also on error.  Its first factorization is never held.
     """
     targets = sorted({float(t) for t in output_times if 0.0 < t <= tc.t_end} | ({tc.t_end} if tc.t_end > 0 else set()))
     snapshots: dict[float, np.ndarray] = {0.0: x0.copy()}
@@ -469,7 +476,7 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
     dt = tc.dt_init
     eps = 1e-9 * max(tc.t_end, 1.0)
     next_idx = 0
-    _reset_held_lu(march_starts=True)
+    token = _march.set(_March())
     try:
         while t < tc.t_end - eps:
             dt_step = min(dt, tc.dt_max)
@@ -486,14 +493,5 @@ def simulate(problem, x0: np.ndarray, tc: TimeControl, output_times=(), linear_s
                 snapshots[targets[next_idx]] = x.copy()
                 next_idx += 1
     finally:
-        _reset_held_lu(march_starts=False)
+        _march.reset(token)
     return snapshots, report
-
-
-def _reset_held_lu(march_starts: bool) -> None:
-    """Drop the held LU, and arm the release of the next factorization
-    when a march starts, or disarm it when one ends."""
-    global _release_next_lu
-    _release_next_lu = march_starts
-    if _ordering is not None:
-        _ordering.lu = None

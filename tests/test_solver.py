@@ -207,7 +207,7 @@ class TestDirectSolve:
         x = uniform_state(cloud).to_vector()
         residual, jac = system.residual_and_jacobian(x, x, 0.5)
         warm = solver.direct_solve(jac, -residual)
-        monkeypatch.setattr(solver, "_ordering", None)
+        monkeypatch.setattr(solver, "_plan", None)
         cold = solver.direct_solve(jac, -residual)
         assert np.array_equal(warm, cold)
 
@@ -223,7 +223,7 @@ class TestDirectSolve:
     def test_singular_matrix_on_cached_pattern_raises(self):
         a = sp.csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
         solver.direct_solve(a, np.ones(3))
-        assert solver._ordering.matches(a)
+        assert solver._plan.matches(a)
         singular = a.copy()
         singular.data[singular.indices == 2] = 0.0  # zero third row, pattern kept
         assert np.array_equal(singular.indices, a.indices)
@@ -250,23 +250,32 @@ def fresh_natural_solve(jac, rhs):
     return delta
 
 
+@pytest.fixture
+def march():
+    """A march's solver state opened as :func:`simulate` opens it, but past
+    the march's first factorization, so a dense-fill LU is held."""
+    state = solver._March(factorizations=1)
+    token = solver._march.set(state)
+    yield state
+    solver._march.reset(token)
+
+
 class TestLaggedSolve:
-    """``direct_solve`` holds a dense-fill LU and preconditions GMRES by it."""
+    """Inside a march ``direct_solve`` holds a dense-fill LU and
+    preconditions GMRES by it."""
 
     @pytest.fixture
-    def held_system(self):
+    def held_system(self, march):
         # 40 m x 16 m at r = 3.001: 86 LU entries per unknown, above KEEP_FILL
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
-        solver._ordering = None
-        yield ImplicitSystem(cloud, ops, model, specs), cloud
-        solver._ordering = None
+        return ImplicitSystem(cloud, ops, model, specs), cloud
 
-    def test_held_jacobian_returns_exact_lu_answer(self, held_system):
+    def test_held_jacobian_returns_exact_lu_answer(self, held_system, march):
         jac, rhs = random_linear_system(*held_system, seed=1)
         exact = solver.direct_solve(jac, rhs)
-        ordering = solver._ordering
-        held = ordering.lu
-        assert held is not None and same_buffers(ordering, jac)
+        ordering = solver._plan
+        held = march.lu
+        assert held is not None and march.plan_of_lu is ordering and ordering.matches(jac)
 
         # the preconditioned operator is the identity: GMRES breaks down at
         # its first step and must stop there, not divide by H[1, 0]
@@ -281,21 +290,21 @@ class TestLaggedSolve:
             x = solver._lagged_gmres(ordering.permuted(jac.data), rhs[ordering.q], CountingLU())
             again = solver.direct_solve(jac, rhs)
         assert steps == [1]
-        assert solver._ordering is ordering and ordering.lu is held  # accepted without refactoring
+        assert solver._plan is ordering and march.lu is held  # accepted without refactoring
         np.testing.assert_allclose(x[np.argsort(ordering.q)], exact, rtol=1e-12, atol=0)
         np.testing.assert_allclose(again, exact, rtol=1e-12, atol=0)
 
-    def test_copied_index_arrays_keep_the_held_lu(self, held_system):
+    def test_copied_index_arrays_keep_the_held_lu(self, held_system, march):
         # the held LU belongs to the pattern: a Jacobian with equal index
         # contents in fresh buffers is preconditioned by it, not refactored
         jac, rhs = random_linear_system(*held_system, seed=1)
         exact = solver.direct_solve(jac, rhs)
-        ordering = solver._ordering
-        held = ordering.lu
+        ordering = solver._plan
+        held = march.lu
         copied = sp.csc_matrix((jac.data, jac.indices.copy(), jac.indptr.copy()), shape=jac.shape)
         assert not same_buffers(copied, jac)
         again = solver.direct_solve(copied, rhs)
-        assert solver._ordering is ordering and ordering.lu is held
+        assert solver._plan is ordering and march.lu is held
         np.testing.assert_allclose(again, exact, rtol=1e-12, atol=0)
 
     def test_exact_breakdown_stops_before_dividing(self):
@@ -306,31 +315,31 @@ class TestLaggedSolve:
             x = solver._lagged_gmres(a, np.array([1.0, 0.0, 0.0]), lu)
         assert np.array_equal(x, [0.5, 0.0, 0.0])
 
-    def test_distant_held_lu_meets_residual_target(self, held_system):
+    def test_distant_held_lu_meets_residual_target(self, held_system, march):
         far_jac, far_rhs = random_linear_system(*held_system, seed=2)
         solver.direct_solve(far_jac, far_rhs)
         system, cloud = held_system
         # pure injection state against the random one the LU came from
         x = uniform_state(cloud, p=15.0, sw=0.8).to_vector()
         residual, jac = system.residual_and_jacobian(x, uniform_state(cloud).to_vector(), 2.0)
-        assert same_buffers(solver._ordering, jac) and solver._ordering.lu is not None
+        assert march.plan_of_lu is solver._plan and solver._plan.matches(jac) and march.lu is not None
         delta = solver.direct_solve(jac, -residual)
         assert np.linalg.norm(jac @ delta + residual) <= solver.GMRES_RTOL * np.linalg.norm(residual)
 
-    def test_singular_refactorization_raises(self, held_system):
+    def test_singular_refactorization_raises(self, held_system, march):
         jac, rhs = random_linear_system(*held_system, seed=3)
         solver.direct_solve(jac, rhs)
-        ordering = solver._ordering
-        assert ordering.lu is not None
+        ordering = solver._plan
+        assert march.lu is not None
         data = jac.data.copy()
         data[jac.indices == 7] = 0.0  # zero one row on the held index buffers
         singular = sp.csc_matrix((data, jac.indices, jac.indptr), shape=jac.shape)
-        assert same_buffers(ordering, singular)
+        assert same_buffers(jac, singular)
         with pytest.raises(LinearSolveError):
             solver.direct_solve(singular, np.ones(len(rhs)))
-        assert solver._ordering is ordering and ordering.lu is None
+        assert solver._plan is ordering and march.lu is None
 
-    def test_low_fill_pattern_takes_exact_path(self):
+    def test_low_fill_pattern_takes_exact_path(self, march):
         # the five-point limit (27 LU entries per unknown) stays below
         # KEEP_FILL: no LU is held and every call is a fresh NATURAL solve
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=1.001)
@@ -338,7 +347,30 @@ class TestLaggedSolve:
         for seed in (4, 5):
             jac, rhs = random_linear_system(system, cloud, seed)
             assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
-            assert solver._ordering.lu is None
+            assert march.lu is None
+
+    def test_outside_a_march_no_lu_is_held(self, monkeypatch):
+        # the dense-fill system of held_system, with no march open: every
+        # call factors afresh and none tries a lagged solve
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
+        system = ImplicitSystem(cloud, ops, model, specs)
+        factorizations, lagged = [], []
+        splu = solver.spla.splu
+
+        def counting_splu(a, permc_spec=None, **kwargs):
+            factorizations.append(permc_spec)
+            return splu(a, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", counting_splu)
+        monkeypatch.setattr(solver, "_lagged_gmres", lambda *args: lagged.append(1))
+        assert solver._march.get() is None
+        for seed in (1, 2):
+            jac, rhs = random_linear_system(system, cloud, seed)
+            factorizations.clear()
+            got = solver.direct_solve(jac, rhs)
+            assert factorizations.count("NATURAL") == 1
+            assert np.array_equal(got, fresh_natural_solve(jac, rhs))
+        assert lagged == []
 
 
 def strip_system(nx=41, ny=5):
@@ -378,14 +410,14 @@ class TestBandedSolve:
         system, x0 = strip_system()
         jac, rhs = random_strip_system(system, x0, seed=1)
         solver.direct_solve(jac, rhs)
-        plan = solver._ordering
+        plan = solver._plan
         assert isinstance(plan, solver._BandedPattern)
         assert (plan.kl, plan.ku) == (11, 11)
         assert plan.band.shape == (2 * 11 + 11 + 1, len(rhs)) and plan.band.flags.f_contiguous
         for mult in (1.001, 2.001):
             cloud_system, cloud = small_system(mult=mult)
             solver.direct_solve(*random_linear_system(cloud_system, cloud, seed=1))
-            assert isinstance(solver._ordering, solver._FrozenOrdering)
+            assert isinstance(solver._plan, solver._FrozenOrdering)
 
     @pytest.mark.parametrize("extra_ku, banded", [(0, True), (1, False)])
     def test_keep_fill_bounds_the_band(self, extra_ku, banded):
@@ -395,7 +427,7 @@ class TestBandedSolve:
         a = band_matrix(80, kl, ku)
         rhs = np.linspace(1.0, 2.0, 80)
         got = solver.direct_solve(a, rhs)
-        assert isinstance(solver._ordering, solver._BandedPattern) == banded
+        assert isinstance(solver._plan, solver._BandedPattern) == banded
         np.testing.assert_allclose(got, np.linalg.solve(a.toarray(), rhs), rtol=1e-12, atol=0)
 
     def test_matches_dense_solve(self):
@@ -414,15 +446,15 @@ class TestBandedSolve:
 
         compile_pattern = solver._compile_pattern
         monkeypatch.setattr(solver, "_compile_pattern", counting_compile)
-        monkeypatch.setattr(solver, "_ordering", None)
+        monkeypatch.setattr(solver, "_plan", None)
         system, x0 = strip_system()
         jac, rhs = random_strip_system(system, x0, seed=4)
         solver.direct_solve(jac, rhs)
-        plan = solver._ordering
+        plan = solver._plan
         jac2, rhs2 = random_strip_system(system, x0, seed=5)
         assert same_buffers(jac, jac2) and same_buffers(plan, jac2)
         solver.direct_solve(jac2, rhs2)
-        assert solver._ordering is plan and compiled == [1]
+        assert solver._plan is plan and compiled == [1]
 
     def test_fine_strip_shares_index_buffers(self):
         # 47 000 unknowns: above 46 340, where n**2 overflows int32, the
@@ -432,7 +464,7 @@ class TestBandedSolve:
         jac, rhs = random_strip_system(system, x0, seed=9)
         jac2, _ = random_strip_system(system, x0, seed=10)
         solver.direct_solve(jac, rhs)
-        assert same_buffers(jac, jac2) and same_buffers(solver._ordering, jac2)
+        assert same_buffers(jac, jac2) and same_buffers(solver._plan, jac2)
 
     def test_result_independent_of_cached_plan(self, monkeypatch):
         system, x0 = strip_system()
@@ -440,7 +472,7 @@ class TestBandedSolve:
         other, other_rhs = random_strip_system(system, x0, seed=7)
         solver.direct_solve(other, other_rhs)  # leaves another factorization in the band
         warm = solver.direct_solve(jac, rhs)
-        monkeypatch.setattr(solver, "_ordering", None)
+        monkeypatch.setattr(solver, "_plan", None)
         cold = solver.direct_solve(jac, rhs)
         assert np.array_equal(warm, cold)
 
@@ -461,13 +493,13 @@ class TestBandedSolve:
         a = sp.csc_matrix(np.diag([1e-300, 1.0, 1.0]))
         with pytest.raises(LinearSolveError, match="non-finite"):
             solver.direct_solve(a, np.array([1e300, 1.0, 1.0]))
-        assert isinstance(solver._ordering, solver._BandedPattern)
+        assert isinstance(solver._plan, solver._BandedPattern)
 
     def test_march_matches_fresh_superlu(self):
         system, x0 = strip_system()
         tc = TimeControl(dt_init=0.01, dt_max=0.25, t_end=5.0)
         snaps_a, report_a = simulate(system, x0, tc)
-        assert isinstance(solver._ordering, solver._BandedPattern)
+        assert isinstance(solver._plan, solver._BandedPattern)
         snaps_b, report_b = simulate(system, x0, tc, linear_solver=fresh_natural_solve)
         assert [(s.t, s.dt, s.newton_iters) for s in report_a.steps] == [
             (s.t, s.dt, s.newton_iters) for s in report_b.steps
@@ -652,19 +684,16 @@ class TestSimulate:
         assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
 
     def test_march_independent_of_held_lu(self):
-        # a dense-fill pattern, so the march reuses its LU; between the two
-        # marches a solve close to the march's first one leaves an LU held
-        # that would precondition that first solve
+        # a dense-fill pattern, so the march reuses its LU; the LU goes with
+        # the march, and a second march in the same process repeats the first
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
         system = ImplicitSystem(cloud, ops, model, specs)
         x0 = uniform_state(cloud).to_vector()
         tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
         snaps_a, report_a = simulate(system, x0, tc)
-        assert solver._ordering.lu is None
-        residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
-        solver.direct_solve(jac, -residual)
-        assert solver._ordering.lu is not None
+        assert solver._march.get() is None
         snaps_b, report_b = simulate(system, x0, tc)
+        assert solver._march.get() is None
         assert report_a.steps == report_b.steps
         assert np.array_equal(snaps_a[10.0], snaps_b[10.0])
 
@@ -693,17 +722,6 @@ class TestSimulate:
         assert len(factorizations) >= 2 and preconditioners
         assert all(lu is not factorizations[0] for lu in preconditioners)
 
-    def test_march_without_factorization_leaves_solves_holding(self):
-        # the release is armed for a march only: a march that ends before
-        # factoring anything leaves the next solve's LU held
-        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
-        system = ImplicitSystem(cloud, ops, model, specs)
-        x0 = uniform_state(cloud).to_vector()
-        simulate(system, x0, TimeControl(dt_init=0.01, dt_max=2.0, t_end=0.0))
-        residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
-        solver.direct_solve(jac, -residual)
-        assert solver._ordering.lu is not None
-
     def test_failed_march_drops_held_lu(self):
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
 
@@ -713,6 +731,7 @@ class TestSimulate:
             def residual_and_jacobian(self, x, x_old, dt):
                 self.calls += 1
                 if self.calls > 2:
+                    self.march = solver._march.get()
                     raise RuntimeError("assembly failed")
                 return super().residual_and_jacobian(x, x_old, dt)
 
@@ -721,7 +740,9 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="assembly failed"):
             simulate(system, uniform_state(cloud).to_vector(), tc)
         assert system.calls == 3
-        assert isinstance(solver._ordering, solver._FrozenOrdering) and solver._ordering.lu is None
+        # the march had held its second LU; its state went with it
+        assert system.march.factorizations == 2 and system.march.lu is not None
+        assert solver._march.get() is None
 
     def test_report_totals_and_csv(self, tmp_path):
         system, cloud = small_system()
