@@ -349,6 +349,19 @@ class TestLaggedSolve:
             assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
             assert march.lu is None
 
+    def test_held_lu_serves_only_its_plan(self, held_system, march, monkeypatch):
+        # two dense-fill patterns in turn: no call is preconditioned by the
+        # other pattern's LU, and the march holds the LU of the latest plan
+        cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=2.001)
+        other = ImplicitSystem(cloud, ops, model, specs), cloud
+        lagged = []
+        monkeypatch.setattr(solver, "_lagged_gmres", lambda *args: lagged.append(1))
+        for system in (held_system, other, held_system):
+            jac, rhs = random_linear_system(*system, seed=1)
+            assert np.array_equal(solver.direct_solve(jac, rhs), fresh_natural_solve(jac, rhs))
+            assert march.plan_of_lu is solver._plan and march.lu is not None
+        assert lagged == []
+
     def test_outside_a_march_no_lu_is_held(self, monkeypatch):
         # the dense-fill system of held_system, with no march open: every
         # call factors afresh and none tries a lagged solve
@@ -685,13 +698,17 @@ class TestSimulate:
 
     def test_march_independent_of_held_lu(self):
         # a dense-fill pattern, so the march reuses its LU; the LU goes with
-        # the march, and a second march in the same process repeats the first
+        # the march, and between the two marches a solve close to the
+        # march's first one would, if it held its LU, precondition that
+        # first solve
         cloud, ops, model, specs = waterflood_setup(width=40.0, height=16.0, mult=3.001)
         system = ImplicitSystem(cloud, ops, model, specs)
         x0 = uniform_state(cloud).to_vector()
         tc = TimeControl(dt_init=0.01, dt_max=2.0, t_end=10.0)
         snaps_a, report_a = simulate(system, x0, tc)
         assert solver._march.get() is None
+        residual, jac = system.residual_and_jacobian(x0, x0, 0.02)
+        solver.direct_solve(jac, -residual)
         snaps_b, report_b = simulate(system, x0, tc)
         assert solver._march.get() is None
         assert report_a.steps == report_b.steps
